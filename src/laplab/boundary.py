@@ -33,21 +33,20 @@ feeds the (1+|x|)^{-(d-1)/2} decay scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .lattice import (
     Field,
-    GridSpec,
     PHYSICAL,
     SpectralInterpolator,
     forward_transform,
     inverse_transform,
 )
-from .multiplier import pm_values
+from .multiplier import _smooth_ramp, pm_values
 
 __all__ = [
     "SphereQuadrature",
@@ -301,21 +300,24 @@ def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
     return complex(total)
 
 
+def _eps_pairing(red: _RadialReduction, spec: BoundarySpec,
+                 eps: float) -> complex:
+    val, _ = _refine(lambda n: _eps_quadrature(red, spec, eps, n), 16,
+                     spec.rel_tol)
+    return ((2.0 * np.pi) ** (-red.d)) * val
+
+
 def epsilon_pairing(f: Field, g: Field, spec: BoundarySpec,
                     eps: float) -> complex:
     """< R_0^m(lambda + i sign eps) f, g > by resolved radial quadrature."""
     _check_pair(f, g)
-    red = _RadialReduction(f, g, spec)
-    val, _ = _refine(lambda n: _eps_quadrature(red, spec, eps, n), 16,
-                     spec.rel_tol)
-    d = f.grid.dimension
-    return ((2.0 * np.pi) ** (-d)) * val
+    return _eps_pairing(_RadialReduction(f, g, spec), spec, eps)
 
 
-def richardson_limit(values: Sequence[complex],
-                     ratio: float = 0.5) -> tuple[complex, bool]:
+def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
     """Second-order Richardson extrapolation to eps -> 0 along a geometric
-    sequence eps_k = eps_0 ratio^k.  Returns (limit, diverged flag)."""
+    sequence eps_k = eps_0 ratio^k, of scalars or of arrays (step sizes are
+    then max norms).  Returns (limit, diverged flag)."""
     v = list(values)
     if len(v) < 3:
         raise ValueError("need at least 3 values for order-2 extrapolation")
@@ -323,14 +325,16 @@ def richardson_limit(values: Sequence[complex],
     v1 = [(v[k + 1] - ratio * v[k]) / (1.0 - ratio) for k in range(len(v) - 1)]
     r2 = ratio**2
     v2 = [(v1[k + 1] - r2 * v1[k]) / (1.0 - r2) for k in range(len(v1) - 1)]
-    steps = [abs(v2[k + 1] - v2[k]) for k in range(len(v2) - 1)]
+    steps = [np.max(np.abs(v2[k + 1] - v2[k])) for k in range(len(v2) - 1)]
     diverged = len(steps) >= 2 and steps[-1] > 4.0 * steps[-2] and \
-        steps[-1] > 1e-12 * max(abs(v2[-1]), 1e-300)
-    return v2[-1], diverged
+        steps[-1] > 1e-12 * max(np.max(np.abs(v2[-1])), 1e-300)
+    return v2[-1], bool(diverged)
 
 
 def epsilon_limit_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
-    vals = [epsilon_pairing(f, g, spec, e) for e in spec.eps_sequence()]
+    _check_pair(f, g)
+    red = _RadialReduction(f, g, spec)
+    vals = [_eps_pairing(red, spec, e) for e in spec.eps_sequence()]
     limit, diverged = richardson_limit(vals)
     if diverged:
         raise ArithmeticError("epsilon extrapolation of the pairing diverged")
@@ -447,19 +451,16 @@ def boundary_apply(f: Field, spec: BoundarySpec) -> BoundaryField:
             ).values
             for e in eps
         ]
-        ratio = 0.5
-        v1 = [(stack[k + 1] - ratio * stack[k]) / (1 - ratio)
-              for k in range(len(stack) - 1)]
-        v2 = [(v1[k + 1] - ratio**2 * v1[k]) / (1 - ratio**2)
-              for k in range(len(v1) - 1)]
-        eps_field = f.with_values(v2[-1])
+        limit, diverged = richardson_limit(stack)
+        eps_field = f.with_values(limit)
         scale = np.sqrt(np.sum(np.abs(total.values) ** 2))
         diff = np.sqrt(np.sum(np.abs(eps_field.values - total.values) ** 2))
         rel = float(diff / max(scale, 1e-300))
         diagnostics["backend_disagreement"] = rel
-        diagnostics["backend_flag"] = rel > spec.cross_tol
+        diagnostics["backend_flag"] = rel > spec.cross_tol or diverged
         if diagnostics["backend_flag"]:
-            # disagreement above tolerance: surface both results
+            # disagreement above tolerance or a diverged extrapolation:
+            # surface both results
             diagnostics["epsilon_field"] = eps_field
     return BoundaryField(spec, f, pv, surf, total, diagnostics)
 
@@ -473,7 +474,6 @@ def _patch_profile(s: np.ndarray, s0: float = 0.5, s1: float = 0.8) -> np.ndarra
     cutoff is identically 1 on the graph, so this north-pole patch is what gives
     the kernel weight compact support."""
     u = (s1 - np.asarray(s, dtype=float)) / (s1 - s0)
-    from .multiplier import _smooth_ramp
     return _smooth_ramp(u)
 
 

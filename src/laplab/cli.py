@@ -26,8 +26,8 @@ from .boundary import (BoundarySpec, boundary_pairing, decay_scan,
                        epsilon_limit_pairing)
 from .family import FAMILY_VERSION, FamilySpec, standard_family
 from .lattice import Field, GridSpec, PHYSICAL
-from .perturb import (Potential, bs_solve, direct_eigs, eigen_scan,
-                      example_potential, lap_perturbed_sweep)
+from .perturb import (Potential, direct_eigs, eigen_scan, example_potential,
+                      lap_perturbed_sweep)
 from .spaces import (CompositeNormConfig, LorentzExponents, b_norm,
                      bstar_norm, lorentz_norm, lp_norm, slab_l2_profile,
                      stein_tomas_exponent, x_norm_upper, xstar_norm)
@@ -122,17 +122,31 @@ def load_config(path, overrides=(), seed=None) -> dict:
     return cfg
 
 
-def _num(cfg, path, lo=None, hi=None, integer=False, errors=None):
+_MISSING = object()
+
+
+def _lookup(cfg, path, errors):
     node = cfg
     for k in path.split("."):
         if not isinstance(node, dict) or k not in node:
             errors.append(f"{path}: missing")
-            return None
+            return _MISSING
         node = node[k]
+    return node
+
+
+def _num(cfg, path, lo=None, hi=None, integer=False, errors=None):
+    node = _lookup(cfg, path, errors)
+    if node is _MISSING:
+        return None
+    return _check_num(path, node, lo, hi, integer, errors)
+
+
+def _check_num(path, node, lo, hi, integer, errors):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         errors.append(f"{path}: expected a number, got {node!r}")
         return None
-    if integer and int(node) != node:
+    if integer and not (isinstance(node, int) or float(node).is_integer()):
         errors.append(f"{path}: expected an integer, got {node!r}")
         return None
     if lo is not None and node < lo:
@@ -142,6 +156,25 @@ def _num(cfg, path, lo=None, hi=None, integer=False, errors=None):
         errors.append(f"{path}: must be <= {hi}, got {node}")
         return None
     return node
+
+
+def _positive(cfg, path, errors):
+    v = _num(cfg, path, errors=errors)
+    if v is not None and not v > 0:
+        errors.append(f"{path}: must be positive, got {v}")
+
+
+def _num_list(cfg, path, lo=None, integer=False, length=None, errors=None):
+    node = _lookup(cfg, path, errors)
+    if node is _MISSING:
+        return
+    if not isinstance(node, list) or (length is not None
+                                      and len(node) != length):
+        size = f"{length} " if length is not None else ""
+        errors.append(f"{path}: expected a list of {size}numbers, got {node!r}")
+        return
+    for i, v in enumerate(node):
+        _check_num(f"{path}[{i}]", v, lo, None, integer, errors)
 
 
 def validate_config(cfg: dict) -> list:
@@ -177,6 +210,30 @@ def validate_config(cfg: dict) -> list:
     if not isinstance(pot, dict) or pot.get("kind") not in (
             "none", "well", "gaussian", "example"):
         errors.append("potential.kind: must be one of none|well|gaussian|example")
+    if isinstance(pot, dict):
+        for key in ("depth", "radius", "width", "q", "J"):
+            if key in pot:
+                _num(cfg, f"potential.{key}", integer=key == "J",
+                     errors=errors)
+    _num(cfg, "eigen_margin", 0, errors=errors)
+    for key in ("backend_rel", "drift_factor", "solver"):
+        _positive(cfg, f"tolerances.{key}", errors)
+    _num(cfg, "tolerances.sqrt2_slack", 0, errors=errors)
+    _positive(cfg, "kernel.lambda", errors)
+    _num_list(cfg, "kernel.radii", 0, errors=errors)
+    _num(cfg, "kernel.n_directions", 0, integer=True, errors=errors)
+    _positive(cfg, "kernel.tol", errors)
+    _positive(cfg, "kernel.band_factor", errors)
+    _num_list(cfg, "spectrum.interval", length=2, errors=errors)
+    _num(cfg, "spectrum.steps", 2, integer=True, errors=errors)
+    for key in ("eps_probe", "dip_threshold", "oracle_rel"):
+        _positive(cfg, f"spectrum.{key}", errors)
+    _num(cfg, "potential_report.q", 1, errors=errors)
+    _num_list(cfg, "potential_report.truncations", 1, integer=True,
+              errors=errors)
+    _num(cfg, "potential_report.reference", 1, integer=True, errors=errors)
+    _num(cfg, "potential_report.points_per_axis", 16, integer=True,
+         errors=errors)
     fam = cfg.get("family", {})
     try:
         FamilySpec(kinds=tuple(fam.get("kinds", ())),

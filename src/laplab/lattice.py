@@ -17,8 +17,8 @@ the sorted frequency lattice, one axis per dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage

@@ -5,13 +5,14 @@ resolvent (|xi|^{2m} - z)^{-1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, forward_transform, inverse_transform
+from .lattice import Field, GridSpec, PHYSICAL, forward_transform, inverse_transform
 
 __all__ = [
     "Symbol",
@@ -20,6 +21,7 @@ __all__ = [
     "bessel_symbol",
     "resolvent_symbol",
     "chi_lambda",
+    "apply_values",
     "apply_symbol",
     "free_resolvent",
     "pm_values",
@@ -38,7 +40,6 @@ class Symbol:
 
     fn: Callable
     name: str = ""
-    smooth: bool = True
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         vals = np.asarray(self.fn(*grid.freq_grids()), dtype=np.complex128)
@@ -57,8 +58,11 @@ def bessel_symbol(alpha: float) -> Symbol:
                   name=f"S_{alpha}")
 
 
+@functools.lru_cache(maxsize=4)
 def pm_values(grid: GridSpec, m: int) -> np.ndarray:
-    return sum(x**2 for x in grid.freq_grids()) ** m
+    vals = sum(x**2 for x in grid.freq_grids()) ** m
+    vals.setflags(write=False)
+    return vals
 
 
 def _smooth_ramp(u: np.ndarray) -> np.ndarray:
@@ -121,18 +125,36 @@ def chi_lambda(spec: CutoffSpec, grid: GridSpec | None = None) -> Symbol:
     return Symbol(fn, name=f"chi_lambda({spec.lam}, m={spec.m})")
 
 
+def apply_values(values: np.ndarray, f: Field) -> Field:
+    """The one Fourier-multiply path; output returned in the input's domain."""
+    if f.domain_tag == PHYSICAL:
+        return inverse_transform(apply_values(values, forward_transform(f)))
+    return f.with_values(f.values * values)
+
+
 def apply_symbol(sym: Symbol, f: Field) -> Field:
     """Pointwise spectral multiplication; output returned in the input's domain."""
-    if f.domain_tag == PHYSICAL:
-        F = forward_transform(f)
-        out = F.with_values(F.values * sym.on_grid(f.grid))
-        return inverse_transform(out)
-    return f.with_values(f.values * sym.on_grid(f.grid))
+    return apply_values(sym.on_grid(f.grid), f)
 
 
 def resolvent_symbol(z: complex, m: int) -> Symbol:
     return Symbol(lambda *xi: 1.0 / (sum(x**2 for x in xi) ** m - z),
-                  name=f"(|xi|^{2 * m} - {z})^-1", smooth=False)
+                  name=f"(|xi|^{2 * m} - {z})^-1")
+
+
+@functools.lru_cache(maxsize=1)  # all matvecs of one solve share z
+def _resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise ValueError(
+            f"z = {z} lies on [0, inf); use the boundary-value machinery instead"
+        )
+    pm = pm_values(grid, m)
+    gap = np.min(np.abs(pm - z))
+    if not gap >= RESOLVENT_GUARD * (1.0 + abs(z)):
+        raise ValueError(
+            f"z = {z} is within {gap:.2e} of a lattice symbol value; refusing"
+        )
+    return resolvent_symbol(z, m).on_grid(grid)
 
 
 def free_resolvent(z: complex, m: int, f: Field) -> Field:
@@ -141,15 +163,4 @@ def free_resolvent(z: complex, m: int, f: Field) -> Field:
     Refuses z on the half-axis or within machine-noise distance of the lattice
     symbol values; boundary values on (0, infinity) live in the boundary module.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError(
-            f"z = {z} lies on [0, inf); use the boundary-value machinery instead"
-        )
-    pm = pm_values(f.grid, m)
-    gap = np.min(np.abs(pm - z))
-    if gap < RESOLVENT_GUARD * (1.0 + abs(z)):
-        raise ValueError(
-            f"z = {z} is within {gap:.2e} of a lattice symbol value; refusing"
-        )
-    return apply_symbol(resolvent_symbol(z, m), f)
+    return apply_values(_resolvent_values(f.grid, m, complex(z)), f)

@@ -11,13 +11,13 @@ frequency splittings.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .lattice import Field, GridSpec, PHYSICAL, forward_transform, inverse_transform
+from .multiplier import apply_symbol, apply_values, bessel_symbol, pm_values
 
 __all__ = [
     "LorentzExponents",
@@ -201,15 +201,6 @@ class CompositeNormConfig:
         return stein_tomas_exponent(self.d)
 
 
-def _bessel_apply(f: Field, alpha: float) -> Field:
-    """(1 - Delta)^{alpha/2} via the spectral symbol (local to avoid an import
-    cycle with the multiplier module)."""
-    F = forward_transform(f) if f.domain_tag == PHYSICAL else f
-    xi2 = sum(x**2 for x in f.grid.freq_grids())
-    out = F.with_values(F.values * (1.0 + xi2) ** (alpha / 2.0))
-    return inverse_transform(out)
-
-
 def xstar_norm(u: Field, cfg: CompositeNormConfig) -> float:
     """max( ||S_theta u||_{L^{pd',2}}, ||S_m u||_{B*} ).
 
@@ -218,15 +209,17 @@ def xstar_norm(u: Field, cfg: CompositeNormConfig) -> float:
     """
     _require_physical(u)
     pd, pdp = cfg.exponents
-    lor = lorentz_norm(_bessel_apply(u, cfg.theta), LorentzExponents(pdp, 2.0))
-    bst = bstar_norm(_bessel_apply(u, float(cfg.m)))
+    lor = lorentz_norm(apply_symbol(bessel_symbol(cfg.theta), u),
+                       LorentzExponents(pdp, 2.0))
+    bst = bstar_norm(apply_symbol(bessel_symbol(float(cfg.m)), u))
     return max(lor, bst)
 
 
 def _split_value(f1: Field, f2: Field, cfg: CompositeNormConfig) -> float:
     pd, _ = cfg.exponents
-    v1 = lorentz_norm(_bessel_apply(f1, -cfg.theta), LorentzExponents(pd, 2.0))
-    v2 = b_norm(_bessel_apply(f2, -float(cfg.m)))
+    v1 = lorentz_norm(apply_symbol(bessel_symbol(-cfg.theta), f1),
+                      LorentzExponents(pd, 2.0))
+    v2 = b_norm(apply_symbol(bessel_symbol(-float(cfg.m)), f2))
     return v1 + v2
 
 
@@ -255,11 +248,11 @@ def x_norm_upper(
     best = min(_split_value(f, zero, cfg), _split_value(zero, f, cfg))
 
     F = forward_transform(f)
-    pm = sum(x**2 for x in f.grid.freq_grids()) ** cfg.m
+    pm = pm_values(f.grid, cfg.m)
     lam = cfg.lambda_ref
     for w in cfg.split_widths:
         bump = np.exp(-((pm - lam) / (w * lam)) ** 2)
-        f2 = inverse_transform(F.with_values(F.values * bump))
+        f2 = inverse_transform(apply_values(bump, F))
         f1 = f.with_values(f.values - f2.values)
         best = min(best, _split_value(f1, f2, cfg))
     return best

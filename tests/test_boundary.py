@@ -178,6 +178,18 @@ class TestRichardson:
         assert not diverged
         assert limit == pytest.approx(3.0, abs=1e-12)
 
+    def test_array_sequence(self):
+        eps = 0.1 * 0.5 ** np.arange(6)
+        base = np.array([3.0, -1.0 + 2.0j, 0.5])
+        vals = [base + 2.0 * e - 1.5 * e**2 * base for e in eps]
+        limit, diverged = richardson_limit(vals)
+        assert not diverged
+        np.testing.assert_allclose(limit, base, rtol=0, atol=1e-12)
+        # one blowing-up component makes the whole field diverge
+        vals = [np.array([3.0 + 2.0 * e, e**-3]) for e in eps]
+        _, diverged = richardson_limit(vals)
+        assert diverged
+
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError, match="3"):
             richardson_limit([1.0, 2.0])

@@ -101,6 +101,27 @@ class TestExitCodes:
                       tmp_path, "badpot")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command,setting,field", [
+        ("spectrum", "spectrum.interval=[1]", "spectrum.interval"),
+        ("spectrum", "spectrum.steps=1", "spectrum.steps"),
+        ("spectrum", "spectrum.eps_probe=0", "spectrum.eps_probe"),
+        ("kernel", "kernel.radii=5", "kernel.radii"),
+        ("kernel", "kernel.radii=[5,\"far\"]", "kernel.radii[1]"),
+        ("kernel", "kernel.n_directions=1.5", "kernel.n_directions"),
+        ("kernel", "kernel.tol=-1e-6", "kernel.tol"),
+        ("potential", "potential_report.truncations=[4,0]",
+         "potential_report.truncations[1]"),
+        ("potential", "potential_report.reference=\"big\"",
+         "potential_report.reference"),
+        ("sweep", "tolerances.solver=0", "tolerances.solver"),
+        ("norms", "tolerances.sqrt2_slack=[1]", "tolerances.sqrt2_slack"),
+    ])
+    def test_bad_section_value_is_exit_2(self, tmp_path, capsys, command,
+                                         setting, field):
+        code, _ = run([command, "--set", setting], tmp_path, "badsec")
+        assert code == EXIT_VALIDATION
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_sweep_near_eigenvalue_refuses(self, tmp_path, capsys):
         # a deep well has a discrete eigenvalue inside the window: precondition
         # failure, not a criteria failure
@@ -174,6 +195,19 @@ class TestDeterminism:
         s2 = read_summary(out2 / "norms.json")
         s1.pop("timestamp"), s2.pop("timestamp")
         assert s1 == s2
+
+    def test_spectrum_table_byte_identical(self, tmp_path):
+        # the Lanczos oracle column depends on the eigensolver's start vector
+        args = ["spectrum", "--set", "potential.kind=well",
+                "--set", "potential.depth=-8",
+                "--set", "grid.points_per_axis=32",
+                "--set", "spectrum.steps=31"]
+        _, out1 = run(args, tmp_path, "sp1")
+        _, out2 = run(args, tmp_path, "sp2")
+        a = (out1 / "spectrum.csv").read_bytes()
+        _, _, rows = read_table(out1 / "spectrum.csv")
+        assert any(row[3] != "nan" for row in rows)
+        assert a == (out2 / "spectrum.csv").read_bytes()
 
     def test_seed_changes_table(self, tmp_path):
         _, out1 = run(["norms", "--seed", "1"], tmp_path, "d1")

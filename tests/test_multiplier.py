@@ -77,6 +77,12 @@ class TestFreeResolvent:
             with pytest.raises(ValueError):
                 free_resolvent(z, 1, gauss2)
 
+    def test_symbol_array_cached_read_only(self, g2):
+        pm = pm_values(g2, 1)
+        assert pm_values(g2, 1) is pm
+        with pytest.raises(ValueError, match="read-only"):
+            pm[0, 0] = 1.0
+
     def test_rejects_near_lattice_value(self, g2, gauss2):
         pm = np.broadcast_to(pm_values(g2, 1), g2.shape)
         z = complex(np.sort(np.unique(pm))[5]) + 1e-12j

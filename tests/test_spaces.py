@@ -134,12 +134,12 @@ class TestComposite:
         assert x_norm_upper(z, cfg) == 0.0
 
     def test_xstar_recomputation(self, g2, gauss2):
-        from laplab.spaces import _bessel_apply
+        from laplab.multiplier import apply_symbol, bessel_symbol
         cfg = CompositeNormConfig(m=1, d=2)
         _, pdp = cfg.exponents
-        lor = lorentz_norm(_bessel_apply(gauss2, cfg.theta),
+        lor = lorentz_norm(apply_symbol(bessel_symbol(cfg.theta), gauss2),
                            LorentzExponents(pdp, 2.0))
-        bst = bstar_norm(_bessel_apply(gauss2, 1.0))
+        bst = bstar_norm(apply_symbol(bessel_symbol(1.0), gauss2))
         assert xstar_norm(gauss2, cfg) == pytest.approx(max(lor, bst),
                                                         rel=1e-12)
 
