@@ -18,7 +18,7 @@ from .perturb import (AdmissibilityConfig, Potential, admissibility_check,
                       lap_perturbed_sweep, radial_average)
 from .family import FAMILY_VERSION, FamilySpec, shell_stress_family, standard_family
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Field", "GridSpec", "SpectralInterpolator", "forward_transform",

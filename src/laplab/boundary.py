@@ -46,7 +46,7 @@ from .lattice import (
     forward_transform,
     inverse_transform,
 )
-from .multiplier import _smooth_ramp, pm_values
+from .multiplier import _smooth_ramp, apply_values, pm_values
 
 __all__ = [
     "SphereQuadrature",
@@ -369,32 +369,13 @@ class BoundaryField:
     diagnostics: dict
 
     def weak_residual(self, g: Field) -> complex:
-        """< u, (P_m(D) - lambda) g > - < f, g >: the distributional residual
-        of (P_m(D) - lambda) u = f tested against g."""
-        grid = self.source.grid
-        d, m, lam = grid.dimension, self.spec.m, self.spec.lam
-        Gh = forward_transform(g)
-        Fh = forward_transform(self.source)
-        pm = pm_values(grid, m)
-        wspec = grid.freq_cell_volume / (2.0 * np.pi) ** d
-        # lattice p.v. part pairs exactly: (pm - lam) cancels
-        pv_term = wspec * np.sum(Fh.values * np.conj((pm - lam) * Gh.values)
-                                 / (pm - lam))
-        # surface part: (pm - lam) vanishes identically on the sphere nodes
-        interp_g = SpectralInterpolator(g, pad_factor=self.spec.pad_factor)
-        interp_f = SpectralInterpolator(self.source,
-                                        pad_factor=self.spec.pad_factor)
-        dirs, wts = unit_sphere_rule(d, self.spec.n_polar)
-        r = self.spec.r
-        pts = r * dirs
-        coef = (self.spec.sign * 1j * np.pi / (2.0 * np.pi) ** d
-                * r ** (d - 1) / (2 * m * r ** (2 * m - 1)))
-        pm_on_nodes = np.sum(pts**2, axis=1) ** m
-        surf_term = coef * np.sum(
-            wts * interp_f(pts) * np.conj(interp_g(pts)) * (pm_on_nodes - lam)
-        )
-        f_pair = wspec * np.sum(Fh.values * np.conj(Gh.values))
-        return complex(pv_term + surf_term - f_pair)
+        """< u, (P_m(D) - lambda) g > - < f, g > on the lattice, u = ``total``:
+        the distributional residual of (P_m(D) - lambda) u = f tested against
+        g."""
+        Lg = apply_values(pm_values(g.grid, self.spec.m) - self.spec.lam, g)
+        w = g.grid.cell_volume
+        return complex(w * np.sum(self.total.values * np.conj(Lg.values))
+                       - w * np.sum(self.source.values * np.conj(g.values)))
 
 
 def _surface_extension(f: Field, spec: BoundarySpec, chunk: int = 64) -> Field:

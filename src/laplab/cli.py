@@ -485,10 +485,13 @@ def cmd_sweep(cfg, out_dir) -> int:
     m, sign = int(cfg["m"]), int(cfg["sign"])
     V = _potential(cfg, grid)
     lambdas = [float(v) for v in cfg["lambdas"]]
+    prescan = {"support_nodes": 0, "warning": None}    # V = 0: no scan
     if not V.is_zero():
         margin = float(cfg["eigen_margin"])
         scan = eigen_scan(V, m, (min(lambdas) - margin,
                                  max(lambdas) + margin))
+        prescan = {"support_nodes": scan.support_nodes,
+                   "warning": scan.warning}
         for cand, _depth in scan.candidates:
             if min(lambdas) - margin <= cand <= max(lambdas) + margin:
                 print(f"sweep: interval touches eigenvalue candidate at "
@@ -510,7 +513,8 @@ def cmd_sweep(cfg, out_dir) -> int:
     write_summary(os.path.join(out_dir, "sweep.json"), "sweep", cfg,
                   {"sup": report["sup"], "sup_by_eps": report["sup_by_eps"],
                    "last_decade_drift": drift, "drift_limit": drift_limit,
-                   "drift_ok": bool(drift_ok), "holes": report["holes"]},
+                   "drift_ok": bool(drift_ok), "holes": report["holes"],
+                   "eigen_prescan": prescan},
                   time.time() - t0)
     if report["holes"]:
         return EXIT_HOLES

@@ -8,11 +8,16 @@ The transform convention is
 i.e. the *plus* sign in the forward kernel.  Internally this is realized with
 numpy's FFT (which uses the opposite sign) by conjugating the index bookkeeping:
 with nodes x_k = -L + h k and frequencies xi_j = (pi/L) j, j = -n/2 .. n/2-1,
+the factor exp(+i xi_j x_k) is (-1)^{j_1+...+j_d} exp(+2 pi i j.k / n), and
+that checker phase is exactly a half-period shift of the input, so
 
-    fhat_j = h^d (-1)^{j_1+...+j_d} * n^d * ifftn(f) (fftshifted).
+    fhat = n^d h^d fftshift(ifftn(ifftshift(f))),
+    f    = (2L)^{-d} fftshift(fftn(ifftshift(fhat))).
 
-Physical values are stored on the sorted coordinate lattice, spectral values on
-the sorted frequency lattice, one axis per dimension.
+For n a power of two both agree bit for bit with the explicit-phase form; other
+even n agree to rounding.  Physical values are stored on the sorted coordinate
+lattice, spectral values on the sorted frequency lattice, one axis per
+dimension.
 """
 
 from __future__ import annotations
@@ -120,7 +125,11 @@ SPECTRAL = "spectral"
 
 @dataclass(frozen=True)
 class Field:
-    """Complex values sampled on a grid, in either the physical or spectral domain."""
+    """Complex values sampled on a grid, in either the physical or spectral domain.
+
+    Field does not copy a contiguous complex128 array: ``values`` is then a
+    read-only view of it, and the caller's array stays writable.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -133,7 +142,7 @@ class Field:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = np.ascontiguousarray(self.values, dtype=np.complex128).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -162,14 +171,11 @@ def sample(fn: Callable, grid: GridSpec) -> Field:
     return Field(grid, vals, PHYSICAL)
 
 
-def _checker_phase(grid: GridSpec) -> np.ndarray:
-    n = grid.points_per_axis
-    j = np.arange(n) - n // 2
-    ph1 = np.where(j % 2 == 0, 1.0, -1.0)
-    phase = ph1
-    for _ in range(grid.dimension - 1):
-        phase = np.multiply.outer(phase, ph1)
-    return phase
+def _centered(fft: Callable, a: np.ndarray) -> np.ndarray:
+    """fftshift(fft(ifftshift(a))); the FFT runs in place on the shifted copy,
+    so a transform holds no more full-size arrays than the FFT itself."""
+    b = np.fft.ifftshift(a)
+    return np.fft.fftshift(fft(b, out=b))
 
 
 def forward_transform(f: Field) -> Field:
@@ -178,8 +184,8 @@ def forward_transform(f: Field) -> Field:
         raise ValueError("forward_transform expects a physical field")
     g = f.grid
     n, d = g.points_per_axis, g.dimension
-    spec = np.fft.fftshift(np.fft.ifftn(f.values)) * (n**d * g.cell_volume)
-    spec *= _checker_phase(g)
+    spec = _centered(np.fft.ifftn, f.values)
+    spec *= n**d * g.cell_volume
     return Field(g, spec, SPECTRAL)
 
 
@@ -188,7 +194,7 @@ def inverse_transform(F: Field) -> Field:
     if F.domain_tag != SPECTRAL:
         raise ValueError("inverse_transform expects a spectral field")
     g = F.grid
-    vals = np.fft.fftn(np.fft.ifftshift(F.values * _checker_phase(g)))
+    vals = _centered(np.fft.fftn, F.values)
     vals *= (1.0 / (2.0 * g.half_width)) ** g.dimension
     return Field(g, vals, PHYSICAL)
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import Field, GridSpec, PHYSICAL, forward_transform, inverse_transform
+from .lattice import Field, GridSpec, PHYSICAL
 
 __all__ = [
     "Symbol",
@@ -126,9 +126,16 @@ def chi_lambda(spec: CutoffSpec, grid: GridSpec | None = None) -> Symbol:
 
 
 def apply_values(values: np.ndarray, f: Field) -> Field:
-    """The one Fourier-multiply path; output returned in the input's domain."""
+    """The one Fourier-multiply path; output returned in the input's domain.
+
+    ``values`` lives on the sorted frequency lattice.  For a physical field
+    the transform's shifts and scale factors (n^d h^d (2L)^{-d} = 1) cancel,
+    so the product is one FFT pair with the symbol moved to FFT order.
+    """
     if f.domain_tag == PHYSICAL:
-        return inverse_transform(apply_values(values, forward_transform(f)))
+        u = np.fft.ifftn(f.values)
+        u *= np.fft.ifftshift(values)
+        return f.with_values(np.fft.fftn(u, out=u))
     return f.with_values(f.values * values)
 
 

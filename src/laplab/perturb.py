@@ -12,8 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh, lgmres
 
-from .lattice import (Field, GridSpec, PHYSICAL, SPECTRAL, forward_transform,
-                      inverse_transform)
+from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
 from .multiplier import apply_values, free_resolvent, pm_values
 from .spaces import (
     CompositeNormConfig,
@@ -261,8 +260,7 @@ def _pde_residual(z, m, V, u, f) -> float:
 
 
 def apply_hamiltonian(m: int, V: Potential, u: Field) -> Field:
-    U = forward_transform(u)
-    pmu = inverse_transform(apply_values(pm_values(u.grid, m), U))
+    pmu = apply_values(pm_values(u.grid, m), u)
     return u.with_values(pmu.values + V.real_values() * u.values)
 
 

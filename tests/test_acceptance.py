@@ -84,6 +84,7 @@ def test_criterion_01_transform_fidelity():
            f"{elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_plemelj_correctness():
     worst, min_im, pairs = 0.0, np.inf, 0
     for d, m, n in ((2, 1, 128), (2, 2, 128), (3, 1, 32)):
@@ -121,6 +122,7 @@ def test_criterion_03_embedding_constants(g2):
            f"{len(fam)} fields, worst ratio {worst:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_04_restriction_constant():
     ok, details = True, []
     for d, n, r in ((2, 128, 1.0), (3, 32, 1.0)):

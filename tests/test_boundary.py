@@ -1,6 +1,7 @@
 """Boundary-value pairings, the full-field boundary operator, and the
 oscillatory kernel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestBoundaryApply:
         scale = abs(np.sum(gauss2.values * np.conj(gtest.values))
                     * g2.cell_volume)
         assert abs(bf.weak_residual(gtest)) < 1e-8 * max(scale, 1.0)
+
+    def test_weak_residual_detects_wrong_total(self, g2, gauss2):
+        bf = boundary_apply(gauss2, BoundarySpec(lam=1.0, sign=+1, m=1))
+        doubled = dataclasses.replace(
+            bf, total=bf.total.with_values(2.0 * bf.total.values))
+        gtest = gaussian_field(g2, 0.7, center=(1.0, 0.0))
+        fg = abs(np.sum(gauss2.values * np.conj(gtest.values))
+                 * g2.cell_volume)
+        # < 2u, (P - lambda) g > - < f, g > = < f, g > up to roundoff
+        assert abs(doubled.weak_residual(gtest)) == pytest.approx(fg, rel=1e-8)
 
     def test_imaginary_positivity(self, g2, gauss2):
         for lam in (0.5, 1.0, 2.0):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from laplab.cli import (
@@ -17,6 +18,7 @@ from laplab.cli import (
     validate_config,
     write_table,
 )
+from laplab.lattice import GridSpec
 
 
 def read_table(path):
@@ -139,6 +141,29 @@ class TestExitCodes:
         assert "eigenvalue" in capsys.readouterr().err
 
 
+class TestSweepCommand:
+    SMALL = ["--set", "lambdas=[0.75]", "--set", "epsilons=[0.1,0.05]",
+             "--set", "family.count=1"]
+
+    def test_eigen_prescan_recorded(self, tmp_path):
+        code, out = run(["sweep", "--set", "potential.kind=\"well\"",
+                         "--set", "potential.depth=-0.05"] + self.SMALL,
+                        tmp_path, "well")
+        s = read_summary(out / "sweep.json")
+        grid = GridSpec(**DEFAULTS["grid"])
+        nodes = int(np.count_nonzero(
+            np.broadcast_to(grid.radius_grid(), grid.shape) <= 1.0))
+        assert s["eigen_prescan"] == {"support_nodes": nodes, "warning": None}
+        assert code in (EXIT_OK, EXIT_CRITERIA)
+        for key in ("drift_ok", "holes", "last_decade_drift", "drift_limit"):
+            assert key in s
+
+    def test_no_prescan_without_potential(self, tmp_path):
+        _, out = run(["sweep"] + self.SMALL, tmp_path, "free")
+        s = read_summary(out / "sweep.json")
+        assert s["eigen_prescan"] == {"support_nodes": 0, "warning": None}
+
+
 class TestNorms:
     def test_ball_family_b_equals_bstar(self, tmp_path):
         # the unit-ball indicator lives in a single dyadic shell, where the
@@ -234,7 +259,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.1.0", "family/1"]
+                                   "laplab/0.2.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

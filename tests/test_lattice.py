@@ -37,6 +37,34 @@ class TestGridSpec:
             GridSpec(4, 4.0, 256)   # 256^4 > default budget
 
 
+class TestField:
+    def test_caller_array_stays_writable(self, g2):
+        a = np.zeros(g2.shape, dtype=np.complex128)
+        f = Field(g2, a, PHYSICAL)
+        assert a.flags.writeable
+        assert not f.values.flags.writeable
+        assert np.shares_memory(f.values, a)    # a view, not a copy
+
+
+def _explicit_phase(grid):
+    """(-1)^{j_1+...+j_d} on the sorted frequency lattice."""
+    j = np.arange(grid.points_per_axis) - grid.points_per_axis // 2
+    return (-1.0) ** sum(np.meshgrid(*([j] * grid.dimension), indexing="ij"))
+
+
+def _reference_forward(f):
+    g = f.grid
+    n, d = g.points_per_axis, g.dimension
+    spec = np.fft.fftshift(np.fft.ifftn(f.values)) * (n**d * g.cell_volume)
+    return spec * _explicit_phase(g)
+
+
+def _reference_inverse(F):
+    g = F.grid
+    vals = np.fft.fftn(np.fft.ifftshift(F.values * _explicit_phase(g)))
+    return vals * (1.0 / (2.0 * g.half_width)) ** g.dimension
+
+
 class TestSample:
     def test_constant(self, g2):
         f = sample(lambda x, y: np.ones_like(x + y), g2)
@@ -99,6 +127,16 @@ class TestTransforms:
         back = inverse_transform(forward_transform(f))
         rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-12
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (2, 128), (3, 32), (4, 16)])
+    def test_bitwise_equal_to_explicit_phase(self, d, n):
+        g = GridSpec(d, 6.8, n)
+        rng = np.random.default_rng(d * n)
+        a = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        assert np.array_equal(forward_transform(Field(g, a, PHYSICAL)).values,
+                              _reference_forward(Field(g, a, PHYSICAL)))
+        assert np.array_equal(inverse_transform(Field(g, a, SPECTRAL)).values,
+                              _reference_inverse(Field(g, a, SPECTRAL)))
 
     def test_spectral_delta_gives_constant(self, g2):
         spec = np.zeros(g2.shape, dtype=complex)

@@ -1,9 +1,13 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 
 from laplab.family import FamilySpec, standard_family
-from laplab.lattice import GridSpec, sample
-from laplab.multiplier import (CutoffSpec, Symbol, apply_symbol,
+from laplab.lattice import (Field, GridSpec, PHYSICAL, forward_transform,
+                            inverse_transform, sample)
+from laplab.multiplier import (CutoffSpec, Symbol, apply_symbol, apply_values,
                                bessel_symbol, chi_lambda, free_resolvent,
                                pm_symbol, pm_values, require_shell_resolved,
                                shell_radial_resolution)
@@ -51,7 +55,44 @@ class TestApplySymbol:
             apply_symbol(bad, gauss2)
 
 
+class TestApplyValues:
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 32), (4, 16)])
+    def test_physical_matches_transform_pair(self, d, n):
+        g = GridSpec(d, 6.8, n)
+        rng = np.random.default_rng(n + d)
+        f = Field(g, rng.standard_normal(g.shape)
+                  + 1j * rng.standard_normal(g.shape), PHYSICAL)
+        vals = 1.0 / (pm_values(g, 1) + 0.5 - 0.25j)
+        F = forward_transform(f)
+        ref = inverse_transform(F.with_values(vals * F.values))
+        out = apply_values(vals, f)
+        assert out.domain_tag == PHYSICAL
+        rel = np.max(np.abs(out.values - ref.values)) / np.max(np.abs(ref.values))
+        assert rel <= 1e-14
+
+
 class TestFreeResolvent:
+    def test_one_fft_pair_per_call(self, g3, gauss3, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        laplab_modules = [mod for key, mod in sys.modules.items()
+                          if key == "laplab" or key.startswith("laplab.")]
+        for mod in laplab_modules:
+            for name in ("forward_transform", "inverse_transform"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counted("transform", getattr(mod, name)))
+        free_resolvent(-1.0 + 0.5j, 1, gauss3)
+        assert calls == {"fftn": 1, "ifftn": 1}
+
     def test_defining_relation(self, g2, gauss2):
         u = free_resolvent(-1.0, 1, gauss2)
         back = apply_symbol(pm_symbol(1), u)
