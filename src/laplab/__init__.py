@@ -11,14 +11,13 @@ from .multiplier import (CutoffSpec, Symbol, apply_symbol, chi_lambda,
                          free_resolvent, pm_symbol, resolvent_symbol)
 from .boundary import (BoundarySpec, boundary_apply, boundary_pairing,
                        decay_scan, epsilon_limit_pairing, graph_and_weight,
-                       kernel_k_plus, sphere_quadrature,
-                       sphere_restriction_norm)
+                       kernel_k_plus, sphere_restriction_norm)
 from .perturb import (AdmissibilityConfig, Potential, admissibility_check,
                       bs_solve, direct_eigs, eigen_scan, example_potential,
                       lap_perturbed_sweep, radial_average)
 from .family import FAMILY_VERSION, FamilySpec, shell_stress_family, standard_family
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Field", "GridSpec", "SpectralInterpolator", "forward_transform",
@@ -30,7 +29,7 @@ __all__ = [
     "pm_symbol", "resolvent_symbol",
     "BoundarySpec", "boundary_apply", "boundary_pairing", "decay_scan",
     "epsilon_limit_pairing", "graph_and_weight", "kernel_k_plus",
-    "sphere_quadrature", "sphere_restriction_norm",
+    "sphere_restriction_norm",
     "AdmissibilityConfig", "Potential", "admissibility_check", "bs_solve",
     "direct_eigs", "eigen_scan", "example_potential", "lap_perturbed_sweep",
     "radial_average",

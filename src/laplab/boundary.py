@@ -16,6 +16,11 @@ principal value is the symmetric-window subtraction of F(r); the surface
 normalization was fixed against the epsilon -> 0 limit, which is the
 normalization-free ground truth.
 
+The lattice transform is a trigonometric polynomial, so I is exactly the Debye
+sum h^{2d} sum_y C(y) sigmahat(rho |y|) of the correlation C = f (star) conj g,
+sigmahat the transform of the unit sphere's surface measure, and is tabulated
+once per pairing as a Chebyshev series.
+
 The epsilon-limit backend integrates the same radial integrand with the
 resolved Lorentzian denominator and Richardson-extrapolates over a geometric
 epsilon sequence.
@@ -32,12 +37,15 @@ feeds the (1+|x|)^{-(d-1)/2} decay scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 from numpy.polynomial.legendre import leggauss
+from scipy import special
 
 from .lattice import (
     Field,
@@ -49,13 +57,11 @@ from .lattice import (
 from .multiplier import _smooth_ramp, apply_values, pm_values
 
 __all__ = [
-    "SphereQuadrature",
     "BoundarySpec",
     "KernelSample",
     "BoundaryField",
     "DecayScan",
     "unit_sphere_rule",
-    "sphere_quadrature",
     "boundary_pairing",
     "epsilon_pairing",
     "richardson_limit",
@@ -94,38 +100,42 @@ def unit_sphere_rule(d: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere quadrature implemented for d in {{2, 3}}, got {d}")
 
 
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Nodes/weights for the surface measure on the radius-r sphere; the
-    coarea factor 1/(2m r^{2m-1}) is kept separate via ``coarea_included``."""
-
-    radius: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    coarea_included: bool = False
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
+def _sphere_ft(d: int, s: np.ndarray) -> np.ndarray:
+    """Fourier transform of the unit sphere's surface measure at |y| = s:
+    the integral of exp(i s omega_1) over S^{d-1}."""
+    if d == 2:
+        return 2.0 * np.pi * special.j0(s)
+    if d == 3:
+        return 4.0 * np.pi * np.sinc(s / np.pi)
+    # 4 pi^2 J1(s)/s, written as (J0 + J2)/2 so that s = 0 needs no limit
+    return 2.0 * np.pi**2 * (special.j0(s) + special.jv(2, s))
 
 
-def sphere_quadrature(d: int, r: float, m: int, n_polar: int = 64,
-                      include_coarea: bool = False) -> SphereQuadrature:
-    dirs, wts = unit_sphere_rule(d, n_polar)
-    w = wts * r ** (d - 1)
-    if include_coarea:
-        w = w / (2.0 * m * r ** (2 * m - 1))
-    return SphereQuadrature(r, r * dirs, w, include_coarea)
+def _debye_terms(f: Field, g: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |y| of the lattice shells |y/h|^2 = j and the Debye weights, h^{2d}
+    times the shell sums of C = f (star) conj g (one zero-padded FFT)."""
+    d, n, h = f.grid.dimension, f.grid.points_per_axis, f.grid.spacing
+    fft = functools.partial(np.fft.fftn, s=(2 * n,) * d, axes=tuple(range(d)))
+    spec = fft(f.values)
+    spec *= np.conj(spec if g is f else fft(g.values))
+    corr = np.fft.ifftn(spec, out=spec).ravel()
+    k = np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(np.int64) ** 2
+    k2 = sum(np.ix_(*([k] * d))).ravel()
+    sums = (np.bincount(k2, weights=corr.real)
+            + 1j * np.bincount(k2, weights=corr.imag))
+    shells = np.flatnonzero(np.bincount(k2))
+    return h * np.sqrt(shells), h ** (2 * d) * sums[shells]
 
 
-def sphere_restriction_norm(f: Field, r: float, n_polar: int = 64,
-                            pad_factor: int = 4) -> float:
-    """L^2(dsigma) norm of fhat restricted to the radius-r sphere."""
+def sphere_restriction_norm(f: Field, r: float) -> float:
+    """L^2(dsigma) norm of fhat restricted to the radius-r sphere,
+    sqrt(r^{d-1} I(r)) with I the Debye sum of f against itself."""
     if r <= 0:
         raise ValueError("radius must be positive")
     d = f.grid.dimension
-    quad = sphere_quadrature(d, r, m=1, n_polar=n_polar)
-    fh = SpectralInterpolator(f, pad_factor=pad_factor)(quad.nodes)
-    return float(np.sqrt(np.sum(quad.weights * np.abs(fh) ** 2)))
+    radii, weights = _debye_terms(f, f)
+    I = (_sphere_ft(d, r * radii) @ weights).real
+    return float(np.sqrt(r ** (d - 1) * max(I, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -166,37 +176,36 @@ class BoundarySpec:
 
 
 class _RadialReduction:
-    """Shared machinery: I(rho) = angular integral of fhat conj(ghat)."""
+    """I(rho) as a Chebyshev series on [0, rho_max]; I has exponential type
+    max|y|, so degree 1.25 omega + 32, omega = rho_max max|y| / 2, is exact."""
 
     def __init__(self, f: Field, g: Field, spec: BoundarySpec):
-        d = f.grid.dimension
-        self.d = d
+        self.d = f.grid.dimension
         self.m = spec.m
-        self.interp_f = SpectralInterpolator(f, pad_factor=spec.pad_factor)
-        self.interp_g = (
-            self.interp_f
-            if g is f
-            else SpectralInterpolator(g, pad_factor=spec.pad_factor)
-        )
-        self.same = g is f
-        self.dirs, self.wts = unit_sphere_rule(d, spec.n_polar)
         self.rho_max = 0.999 * f.grid.max_inscribed_freq
+        self.radii, self.weights = _debye_terms(f, g)
+        degree = math.ceil(0.625 * self.rho_max * self.radii[-1]) + 32
+        self.cheb = chebinterpolate(
+            lambda t: self.debye_sum(0.5 * self.rho_max * (1.0 + t)), degree)
+        self.k = np.arange(degree + 1)
+
+    def debye_sum(self, rho: np.ndarray) -> np.ndarray:
+        """I(rho) by the direct Debye sum, in blocks of about 2^20 terms."""
+        blocks = np.array_split(rho, 1 + len(rho) * len(self.radii) // 2**20)
+        return np.concatenate([_sphere_ft(self.d, np.outer(b, self.radii))
+                               @ self.weights for b in blocks])
 
     def angular(self, rho: np.ndarray) -> np.ndarray:
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        pts = (rho[:, None, None] * self.dirs[None]).reshape(-1, self.d)
-        vf = self.interp_f(pts)
-        vg = vf if self.same else self.interp_g(pts)
-        prod = (vf * np.conj(vg)).reshape(len(rho), -1)
-        return prod @ self.wts
+        t = np.clip(2.0 * rho / self.rho_max - 1.0, -1.0, 1.0)
+        return np.cos(np.outer(np.arccos(t), self.k)) @ self.cheb
 
     def F(self, rho: np.ndarray, r: float, lam: float) -> np.ndarray:
         """rho^{d-1} I(rho) (rho - r)/(rho^{2m} - lam), with the removable
         singularity at rho = r filled by the coarea limit."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        I = self.angular(rho)
-        num = rho ** (self.d - 1) * I
-        out = np.empty_like(I)
+        num = rho ** (self.d - 1) * self.angular(rho)
+        out = np.empty_like(num)
         close = np.abs(rho - r) < 1e-9 * r
         denom = rho ** (2 * self.m) - lam
         out[~close] = num[~close] * (rho[~close] - r) / denom[~close]
@@ -204,8 +213,15 @@ class _RadialReduction:
         return out
 
 
-def _panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -225,12 +241,11 @@ def _geometric_edges(edge: float, far: float, scale: float) -> list[float]:
     return out
 
 
-def _pv_radial(red: _RadialReduction, spec: BoundarySpec,
+def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
                n_nodes: int) -> complex:
-    """p.v. integral of F(rho)/(rho - r) over (0, rho_max)."""
+    """p.v. integral of F(rho)/(rho - r) over (0, rho_max), Fr = F(r)."""
     r, lam = spec.r, spec.lam
     w = min(spec.pv_window_frac * r, 0.45 * (red.rho_max - r), 0.45 * r)
-    Fr = complex(red.F(np.array([r]), r, lam)[0])
 
     # symmetric window: integrand (F - F(r))/(rho - r) is Hoelder
     x, wx = _panel_nodes(r - w, r + w, 2 * n_nodes)
@@ -238,8 +253,7 @@ def _pv_radial(red: _RadialReduction, spec: BoundarySpec,
     total = np.sum(wx * vals)
 
     # outer parts, geometric panels toward the window edges
-    for a, b in ((1e-12, r - w), (r + w, red.rho_max)):
-        edge, far = (b, a) if b == r - w else (a, b)
+    for edge, far in ((r - w, 1e-12), (r + w, red.rho_max)):
         edges = _geometric_edges(edge, far, w)
         for lo, hi in zip(edges[:-1], edges[1:]):
             x, wx = _panel_nodes(min(lo, hi), max(lo, hi), n_nodes)
@@ -265,20 +279,9 @@ def boundary_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
     """< R_0^m(lambda + i 0 sign) f, g > via the surface + principal-value split."""
     _check_pair(f, g)
     red = _RadialReduction(f, g, spec)
-    pv, _ = _refine(lambda n: _pv_radial(red, spec, n), 16, spec.rel_tol)
     Fr = complex(red.F(np.array([spec.r]), spec.r, spec.lam)[0])
-    d = f.grid.dimension
-    return ((2.0 * np.pi) ** (-d)) * (pv + spec.sign * 1j * np.pi * Fr)
-
-
-def surface_pairing_term(f: Field, g: Field, spec: BoundarySpec) -> complex:
-    """The delta-measure term alone: +- i pi (2pi)^{-d} integral over the
-    sphere with the coarea weight."""
-    _check_pair(f, g)
-    red = _RadialReduction(f, g, spec)
-    Fr = complex(red.F(np.array([spec.r]), spec.r, spec.lam)[0])
-    d = f.grid.dimension
-    return ((2.0 * np.pi) ** (-d)) * spec.sign * 1j * np.pi * Fr
+    pv, _ = _refine(lambda n: _pv_radial(red, spec, Fr, n), 16, spec.rel_tol)
+    return ((2.0 * np.pi) ** (-red.d)) * (pv + spec.sign * 1j * np.pi * Fr)
 
 
 def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
@@ -287,16 +290,14 @@ def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
     drho = eps / (2.0 * m * r ** (2 * m - 1))
     z = lam + 1j * spec.sign * eps
     half = min(0.5 * drho, 0.1 * r)
-    edges_left = _geometric_edges(r - half, 1e-12, half)[::-1]
-    edges_right = _geometric_edges(r + half, red.rho_max, half)
+    # panels from 0 up to the resolved window [r - half, r + half] and on
+    edges = (_geometric_edges(r - half, 1e-12, half)[::-1]
+             + _geometric_edges(r + half, red.rho_max, half))
     total = 0.0 + 0.0j
-    segs = list(zip(edges_left[:-1], edges_left[1:]))
-    segs.append((r - half, r + half))
-    segs += list(zip(edges_right[:-1], edges_right[1:]))
-    for lo, hi in segs:
+    for lo, hi in zip(edges[:-1], edges[1:]):
         x, wx = _panel_nodes(lo, hi, n_nodes)
-        I = red.angular(x)
-        total += np.sum(wx * x ** (red.d - 1) * I / (x ** (2 * m) - z))
+        total += np.sum(wx * x ** (red.d - 1) * red.angular(x)
+                        / (x ** (2 * m) - z))
     return complex(total)
 
 

@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from laplab.boundary import (
     BoundarySpec,
@@ -84,7 +83,6 @@ def test_criterion_01_transform_fidelity():
            f"{elapsed:.2f}s")
 
 
-@pytest.mark.slow
 def test_criterion_02_plemelj_correctness():
     worst, min_im, pairs = 0.0, np.inf, 0
     for d, m, n in ((2, 1, 128), (2, 2, 128), (3, 1, 32)):
@@ -122,7 +120,6 @@ def test_criterion_03_embedding_constants(g2):
            f"{len(fam)} fields, worst ratio {worst:.6f}")
 
 
-@pytest.mark.slow
 def test_criterion_04_restriction_constant():
     ok, details = True, []
     for d, n, r in ((2, 128, 1.0), (3, 32, 1.0)):

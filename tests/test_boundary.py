@@ -18,11 +18,12 @@ from laplab.boundary import (
     graph_and_weight,
     kernel_k_plus,
     richardson_limit,
-    sphere_quadrature,
-    surface_pairing_term,
+    sphere_restriction_norm,
     unit_sphere_rule,
+    _RadialReduction,
 )
-from laplab.lattice import Field, GridSpec, PHYSICAL, forward_transform
+from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
+                            forward_transform)
 from laplab.multiplier import pm_values
 from laplab.spaces import b_norm, bstar_norm
 
@@ -32,23 +33,14 @@ from conftest import gaussian_field
 class TestSphereQuadrature:
     def test_total_weight_is_sphere_area(self):
         for d, area in ((2, 2.0 * np.pi), (3, 4.0 * np.pi)):
-            for r in (0.5, 1.0, 2.3):
-                q = sphere_quadrature(d, r, m=1)
-                assert q.total_weight() == pytest.approx(
-                    area * r ** (d - 1), rel=1e-8)
+            for n_polar in (8, 24, 64):
+                _, wts = unit_sphere_rule(d, n_polar)
+                assert np.sum(wts) == pytest.approx(area, rel=1e-12)
 
     def test_nodes_on_sphere(self):
-        q = sphere_quadrature(3, 1.7, m=2, n_polar=32)
-        radii = np.sqrt(np.sum(q.nodes**2, axis=1))
-        assert np.max(np.abs(radii - 1.7)) < 1e-12
-
-    def test_coarea_factor(self):
-        r, m = 1.3, 2
-        plain = sphere_quadrature(2, r, m=m)
-        co = sphere_quadrature(2, r, m=m, include_coarea=True)
-        ratio = co.total_weight() / plain.total_weight()
-        assert ratio == pytest.approx(1.0 / (2 * m * r ** (2 * m - 1)), rel=1e-12)
-        assert co.coarea_included and not plain.coarea_included
+        dirs, _ = unit_sphere_rule(3, 32)
+        radii = np.sqrt(np.sum(dirs**2, axis=1))
+        assert np.max(np.abs(radii - 1.0)) < 1e-12
 
     def test_polynomial_exactness_d3(self):
         # integral of z^2 over the unit sphere is 4 pi / 3
@@ -141,17 +133,17 @@ class TestPairing:
 
     def test_support_away_from_shell(self):
         # fhat concentrated near 0: the delta term is negligible and the
-        # pairing reduces to the plain lattice integral
+        # pairing reduces to the plain lattice integral; for f = g the p.v.
+        # part is real, so Im P is exactly the delta term
         g = GridSpec(2, 20.0, 160)
         f = gaussian_field(g, 6.0)
         spec = BoundarySpec(lam=2.0, sign=+1, m=1)
-        S = surface_pairing_term(f, f, spec)
         P = boundary_pairing(f, f, spec)
         Fh = forward_transform(f)
         pm = pm_values(g, 1)
         plain = ((2.0 * np.pi) ** (-2) * g.freq_cell_volume
                  * np.sum(np.abs(Fh.values) ** 2 / (pm - spec.lam)))
-        assert abs(S) / abs(P) < 1e-5
+        assert abs(P.imag) / abs(P) < 1e-5
         assert abs(P - plain) / abs(plain) < 1e-4
 
     def test_holder_continuity_in_lambda(self, gauss10):
@@ -169,6 +161,100 @@ class TestPairing:
         fh = forward_transform(gauss10)
         with pytest.raises(ValueError, match="physical"):
             boundary_pairing(fh, fh, BoundarySpec(lam=1.0))
+
+
+def sphere_area(d):
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def gaussian_angular(d, rho):
+    """I(rho) of the unit Gaussian, whose |fhat|^2 is (2 pi)^d exp(-rho^2)."""
+    return sphere_area(d) * (2.0 * np.pi) ** d * np.exp(-np.square(rho))
+
+
+def gaussian_pairing(d, lam):
+    """< R_0(lam + i0) f, f > of the unit Gaussian for m = 1, the p.v. by
+    QUADPACK's Cauchy weight."""
+    r = math.sqrt(lam)
+    near, _ = quad(lambda rho: rho ** (d - 1) * gaussian_angular(d, rho)
+                   / (rho + r), 0.0, 2.0 * r, weight="cauchy", wvar=r,
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    far, _ = quad(lambda rho: rho ** (d - 1) * gaussian_angular(d, rho)
+                  / (rho * rho - lam), 2.0 * r, np.inf,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    surface = math.pi * r ** (d - 2) * gaussian_angular(d, r) / 2.0
+    return (2.0 * np.pi) ** (-d) * complex(near + far, surface)
+
+
+@pytest.fixture(scope="module")
+def g4():
+    return GridSpec(4, 6.0, 24)
+
+
+def offset_and_modulated(grid):
+    d = grid.dimension
+    return (gaussian_field(grid, 0.7, center=(1.0,) + (0.0,) * (d - 1)),
+            gaussian_field(grid, 1.0, wavevector=(1.0,) + (0.0,) * (d - 1)))
+
+
+class TestRadialReduction:
+    @pytest.mark.parametrize("grid, tol", [("g2", 1e-9), ("g3", 1e-9),
+                                           ("g4", 1e-7)])
+    def test_gaussian_closed_form(self, request, grid, tol):
+        grid = request.getfixturevalue(grid)
+        f = gaussian_field(grid, 1.0)
+        red = _RadialReduction(f, f, BoundarySpec(lam=1.0))
+        rho = np.linspace(0.0, 3.0, 31)
+        exact = gaussian_angular(grid.dimension, rho)
+        assert np.max(np.abs(red.angular(rho) - exact) / exact) < tol
+
+    @pytest.mark.parametrize("grid", ["g2", "g3"])
+    def test_spline_oracle(self, request, grid):
+        # the padded spline on a sphere rule is an independent path to I(rho)
+        grid = request.getfixturevalue(grid)
+        f, g = offset_and_modulated(grid)
+        red = _RadialReduction(f, g, BoundarySpec(lam=1.0))
+        dirs, wts = unit_sphere_rule(grid.dimension, 48)
+        sf, sg = SpectralInterpolator(f), SpectralInterpolator(g)
+        rho = np.array([0.3, 0.7, 1.0, 1.6, 2.4])
+        spline = np.array([np.sum(wts * sf(p * dirs) * np.conj(sg(p * dirs)))
+                           for p in rho])
+        err = np.max(np.abs(red.angular(rho) - spline))
+        assert err < 1e-7 * np.max(np.abs(spline))
+
+    def test_table_matches_debye_sum(self, g2):
+        f, g = offset_and_modulated(g2)
+        red = _RadialReduction(f, g, BoundarySpec(lam=1.0))
+        scale = np.max(np.abs(red.debye_sum(
+            np.linspace(0.0, red.rho_max, 400))))
+        rho = np.random.default_rng(5).uniform(0.0, red.rho_max, 200)
+        err = np.max(np.abs(red.angular(rho) - red.debye_sum(rho)))
+        assert err < 1e-12 * scale
+
+    def test_d4_gaussian_pairing(self, g4):
+        f = gaussian_field(g4, 1.0)
+        spec = BoundarySpec(lam=1.0)
+        P = boundary_pairing(f, f, spec)
+        exact = gaussian_pairing(4, spec.lam)
+        assert abs(P - exact) / abs(exact) < 1e-7
+        Pe = epsilon_limit_pairing(f, f, spec)
+        assert abs(Pe - P) / abs(P) < 1e-5
+
+    @pytest.mark.parametrize("grid, tol", [("g2", 1e-9), ("g3", 1e-9),
+                                           ("g4", 1e-7)])
+    def test_restriction_norm_closed_form(self, request, grid, tol):
+        grid = request.getfixturevalue(grid)
+        f = gaussian_field(grid, 1.0)
+        d = grid.dimension
+        for r in (0.5, 1.0, 2.0):
+            exact = math.sqrt(r ** (d - 1) * gaussian_angular(d, r))
+            assert sphere_restriction_norm(f, r) == pytest.approx(exact,
+                                                                  rel=tol)
+
+    def test_zero_field(self, g3):
+        zero = Field(g3, np.zeros(g3.shape), PHYSICAL)
+        assert boundary_pairing(zero, zero, BoundarySpec(lam=1.0)) == 0
+        assert sphere_restriction_norm(zero, 1.0) == 0
 
 
 class TestRichardson:

@@ -187,6 +187,17 @@ class TestNorms:
         assert summary["fields"] == 0
 
 
+class TestResolventCommand:
+    def test_dimension_4_runs(self, tmp_path):
+        code, out = run(["resolvent", "--set", "grid.dimension=4",
+                         "--set", "grid.points_per_axis=16",
+                         "--set", "lambdas=[1.0]", "--set", "family.count=1"],
+                        tmp_path, "d4")
+        assert code == EXIT_OK
+        _, _, rows = read_table(out / "resolvent.csv")
+        assert len(rows) == 1
+
+
 class TestKernelCommand:
     def test_empty_radii(self, tmp_path):
         code, out = run(["kernel", "--set", "kernel.radii=[]"], tmp_path,
@@ -259,7 +270,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.2.0", "family/1"]
+                                   "laplab/0.3.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0
