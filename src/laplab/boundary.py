@@ -19,7 +19,9 @@ normalization-free ground truth.
 The lattice transform is a trigonometric polynomial, so I is exactly the Debye
 sum h^{2d} sum_y C(y) sigmahat(rho |y|) of the correlation C = f (star) conj g,
 sigmahat the transform of the unit sphere's surface measure, and is tabulated
-once per pairing as a Chebyshev series.
+as a Chebyshev series.  The table depends only on the grid, f and g, so the
+pairings take it from a memo keyed on the content of both fields and share it
+across lambda, sign, m and the two backends.
 
 The epsilon-limit backend integrates the same radial integrand with the
 resolved Lorentzian denominator and Richardson-extrapolates over a geometric
@@ -38,6 +40,7 @@ feeds the (1+|x|)^{-(d-1)/2} decay scan.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -179,9 +182,8 @@ class _RadialReduction:
     """I(rho) as a Chebyshev series on [0, rho_max]; I has exponential type
     max|y|, so degree 1.25 omega + 32, omega = rho_max max|y| / 2, is exact."""
 
-    def __init__(self, f: Field, g: Field, spec: BoundarySpec):
+    def __init__(self, f: Field, g: Field):
         self.d = f.grid.dimension
-        self.m = spec.m
         self.rho_max = 0.999 * f.grid.max_inscribed_freq
         self.radii, self.weights = _debye_terms(f, g)
         degree = math.ceil(0.625 * self.rho_max * self.radii[-1]) + 32
@@ -200,17 +202,54 @@ class _RadialReduction:
         t = np.clip(2.0 * rho / self.rho_max - 1.0, -1.0, 1.0)
         return np.cos(np.outer(np.arccos(t), self.k)) @ self.cheb
 
-    def F(self, rho: np.ndarray, r: float, lam: float) -> np.ndarray:
+    def F(self, rho: np.ndarray, spec: BoundarySpec) -> np.ndarray:
         """rho^{d-1} I(rho) (rho - r)/(rho^{2m} - lam), with the removable
         singularity at rho = r filled by the coarea limit."""
+        r, lam, m = spec.r, spec.lam, spec.m
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         num = rho ** (self.d - 1) * self.angular(rho)
         out = np.empty_like(num)
         close = np.abs(rho - r) < 1e-9 * r
-        denom = rho ** (2 * self.m) - lam
+        denom = rho ** (2 * m) - lam
         out[~close] = num[~close] * (rho[~close] - r) / denom[~close]
-        out[close] = num[close] / (2 * self.m * r ** (2 * self.m - 1))
+        out[close] = num[close] / (2 * m * r ** (2 * m - 1))
         return out
+
+
+class _PairKey:
+    """Memo key of a field pair: the grid and digests of both value arrays,
+    never the objects, whose arrays the caller may still write to.  It carries
+    the fields only until their reduction is built."""
+
+    __slots__ = ("key", "fields")
+
+    def __init__(self, f: Field, g: Field):
+        # Field values are contiguous complex128, so the bytes are the content
+        fd, gd = (hashlib.blake2b(v.values, digest_size=16).digest()
+                  for v in (f, g))
+        self.key = (f.grid, fd, gd)
+        self.fields = (f, g)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=16)
+def _memo_reduction(pair: _PairKey) -> _RadialReduction:
+    red = _RadialReduction(*pair.fields)
+    pair.fields = None      # the memo keeps no full-grid array
+    for a in (red.radii, red.weights, red.cheb, red.k):
+        a.flags.writeable = False   # every caller shares these
+    return red
+
+
+def _reduction(f: Field, g: Field) -> _RadialReduction:
+    """The radial reduction of (f, g), built once per distinct content."""
+    _check_pair(f, g)
+    return _memo_reduction(_PairKey(f, g))
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,12 +283,12 @@ def _geometric_edges(edge: float, far: float, scale: float) -> list[float]:
 def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
                n_nodes: int) -> complex:
     """p.v. integral of F(rho)/(rho - r) over (0, rho_max), Fr = F(r)."""
-    r, lam = spec.r, spec.lam
+    r = spec.r
     w = min(spec.pv_window_frac * r, 0.45 * (red.rho_max - r), 0.45 * r)
 
     # symmetric window: integrand (F - F(r))/(rho - r) is Hoelder
     x, wx = _panel_nodes(r - w, r + w, 2 * n_nodes)
-    vals = (red.F(x, r, lam) - Fr) / (x - r)
+    vals = (red.F(x, spec) - Fr) / (x - r)
     total = np.sum(wx * vals)
 
     # outer parts, geometric panels toward the window edges
@@ -257,30 +296,33 @@ def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
         edges = _geometric_edges(edge, far, w)
         for lo, hi in zip(edges[:-1], edges[1:]):
             x, wx = _panel_nodes(min(lo, hi), max(lo, hi), n_nodes)
-            total += np.sum(wx * red.F(x, r, lam) / (x - r))
+            total += np.sum(wx * red.F(x, spec) / (x - r))
     return complex(total)
 
 
 def _refine(fn: Callable[[int], complex], start: int, rel_tol: float,
-            max_doublings: int = 4) -> tuple[complex, float]:
+            max_doublings: int = 4) -> tuple[complex, bool]:
+    """Doubles the node count until two values agree to rel_tol; returns the
+    last value and whether they did."""
     prev = fn(start)
     n = start
     for _ in range(max_doublings):
         n *= 2
         cur = fn(n)
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return cur, err
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur, True
         prev = cur
-    return prev, abs(err)
+    return prev, False
 
 
 def boundary_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
     """< R_0^m(lambda + i 0 sign) f, g > via the surface + principal-value split."""
-    _check_pair(f, g)
-    red = _RadialReduction(f, g, spec)
-    Fr = complex(red.F(np.array([spec.r]), spec.r, spec.lam)[0])
-    pv, _ = _refine(lambda n: _pv_radial(red, spec, Fr, n), 16, spec.rel_tol)
+    red = _reduction(f, g)
+    Fr = complex(red.F(np.array([spec.r]), spec)[0])
+    pv, ok = _refine(lambda n: _pv_radial(red, spec, Fr, n), 16, spec.rel_tol)
+    if not ok:
+        raise ArithmeticError(
+            f"principal-value quadrature unconverged at lambda = {spec.lam}")
     return ((2.0 * np.pi) ** (-red.d)) * (pv + spec.sign * 1j * np.pi * Fr)
 
 
@@ -303,16 +345,19 @@ def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
 
 def _eps_pairing(red: _RadialReduction, spec: BoundarySpec,
                  eps: float) -> complex:
-    val, _ = _refine(lambda n: _eps_quadrature(red, spec, eps, n), 16,
-                     spec.rel_tol)
+    val, ok = _refine(lambda n: _eps_quadrature(red, spec, eps, n), 16,
+                      spec.rel_tol)
+    if not ok:
+        raise ArithmeticError(
+            f"radial quadrature unconverged at lambda = {spec.lam}, "
+            f"eps = {eps:g}")
     return ((2.0 * np.pi) ** (-red.d)) * val
 
 
 def epsilon_pairing(f: Field, g: Field, spec: BoundarySpec,
                     eps: float) -> complex:
     """< R_0^m(lambda + i sign eps) f, g > by resolved radial quadrature."""
-    _check_pair(f, g)
-    return _eps_pairing(_RadialReduction(f, g, spec), spec, eps)
+    return _eps_pairing(_reduction(f, g), spec, eps)
 
 
 def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
@@ -333,8 +378,7 @@ def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
 
 
 def epsilon_limit_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
-    _check_pair(f, g)
-    red = _RadialReduction(f, g, spec)
+    red = _reduction(f, g)
     vals = [_eps_pairing(red, spec, e) for e in spec.eps_sequence()]
     limit, diverged = richardson_limit(vals)
     if diverged:

@@ -404,26 +404,41 @@ def cmd_resolvent(cfg, out_dir) -> int:
     fam = _family(cfg, grid)
     cells = [(lam, label, f) for lam in cfg["lambdas"] for label, f in fam]
 
+    def pairing(fn, f, spec, label):
+        # an unconverged quadrature or extrapolation leaves a nan hole
+        try:
+            return fn(f, f, spec)
+        except ArithmeticError as exc:
+            print(f"resolvent: {fn.__name__} at lambda={spec.lam:g}, {label}: "
+                  f"{exc}", file=sys.stderr)
+            return np.nan
+
     def one(cell):
         lam, label, f = cell
         spec = BoundarySpec(lam=float(lam), sign=sign, m=m, delta=delta)
-        val = boundary_pairing(f, f, spec)
-        ref = epsilon_limit_pairing(f, f, spec)
+        val = pairing(boundary_pairing, f, spec, label)
+        ref = pairing(epsilon_limit_pairing, f, spec, label)
         rel = abs(val - ref) / max(abs(ref), 1e-300)
-        return [lam, label, val, ref, rel, val.imag]
+        return [lam, label, val, ref, rel,
+                np.nan if np.isnan(val) else val.imag]
 
     rows = _ordered_map(one, cells)
     header = ["lambda", "label", "plemelj", "epsilon_limit", "rel_diff",
               "im_part"]
     write_table(os.path.join(out_dir, "resolvent.csv"), "resolvent", header,
                 rows)
-    worst = max((r[4] for r in rows), default=0.0)
-    min_im = min((r[5] * sign for r in rows), default=0.0)
+    done = [r for r in rows if not np.isnan(r[4])]
+    holes = len(rows) - len(done)
+    worst = max((r[4] for r in done), default=0.0)
+    min_im = min((r[5] * sign for r in done), default=0.0)
     ok = worst <= tol and min_im >= -1e-10
     write_summary(os.path.join(out_dir, "resolvent.json"), "resolvent", cfg,
                   {"pairs": len(rows), "max_backend_rel_diff": worst,
-                   "min_signed_im": min_im, "agreement_ok": ok},
+                   "min_signed_im": min_im, "agreement_ok": ok,
+                   "holes": holes},
                   time.time() - t0)
+    if holes:
+        return EXIT_HOLES
     return EXIT_OK if ok else EXIT_CRITERIA
 
 

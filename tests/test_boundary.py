@@ -3,6 +3,8 @@ oscillatory kernel."""
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from laplab.boundary import (
     richardson_limit,
     sphere_restriction_norm,
     unit_sphere_rule,
+    _memo_reduction,
     _RadialReduction,
 )
 from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
@@ -203,7 +206,7 @@ class TestRadialReduction:
     def test_gaussian_closed_form(self, request, grid, tol):
         grid = request.getfixturevalue(grid)
         f = gaussian_field(grid, 1.0)
-        red = _RadialReduction(f, f, BoundarySpec(lam=1.0))
+        red = _RadialReduction(f, f)
         rho = np.linspace(0.0, 3.0, 31)
         exact = gaussian_angular(grid.dimension, rho)
         assert np.max(np.abs(red.angular(rho) - exact) / exact) < tol
@@ -213,7 +216,7 @@ class TestRadialReduction:
         # the padded spline on a sphere rule is an independent path to I(rho)
         grid = request.getfixturevalue(grid)
         f, g = offset_and_modulated(grid)
-        red = _RadialReduction(f, g, BoundarySpec(lam=1.0))
+        red = _RadialReduction(f, g)
         dirs, wts = unit_sphere_rule(grid.dimension, 48)
         sf, sg = SpectralInterpolator(f), SpectralInterpolator(g)
         rho = np.array([0.3, 0.7, 1.0, 1.6, 2.4])
@@ -224,7 +227,7 @@ class TestRadialReduction:
 
     def test_table_matches_debye_sum(self, g2):
         f, g = offset_and_modulated(g2)
-        red = _RadialReduction(f, g, BoundarySpec(lam=1.0))
+        red = _RadialReduction(f, g)
         scale = np.max(np.abs(red.debye_sum(
             np.linspace(0.0, red.rho_max, 400))))
         rho = np.random.default_rng(5).uniform(0.0, red.rho_max, 200)
@@ -255,6 +258,64 @@ class TestRadialReduction:
         zero = Field(g3, np.zeros(g3.shape), PHYSICAL)
         assert boundary_pairing(zero, zero, BoundarySpec(lam=1.0)) == 0
         assert sphere_restriction_norm(zero, 1.0) == 0
+
+
+    def test_memo_shares_one_reduction(self, g2):
+        # both backends at three lambdas build one table, and every value is
+        # the bits of a cold-memo computation
+        f = gaussian_field(g2, 1.0)
+        calls = [(fn, BoundarySpec(lam=lam))
+                 for lam in (0.5, 1.0, 2.0)
+                 for fn in (boundary_pairing, epsilon_limit_pairing)]
+        _memo_reduction.cache_clear()
+        shared = [fn(f, f, spec) for fn, spec in calls]
+        assert _memo_reduction.cache_info().misses == 1
+        for (fn, spec), value in zip(calls, shared):
+            _memo_reduction.cache_clear()
+            assert fn(f, f, spec) == value
+
+    def test_memo_sees_writes_to_caller_array(self, g2):
+        # Field keeps a view of the caller's array, so the memo must key on
+        # the content, not on the object
+        spec = BoundarySpec(lam=1.0)
+        arr = gaussian_field(g2, 1.0).values.copy()
+        f = Field(g2, arr, PHYSICAL)
+        before = boundary_pairing(f, f, spec)
+        arr[...] = gaussian_field(g2, 0.7).values
+        after = boundary_pairing(f, f, spec)
+        _memo_reduction.cache_clear()
+        fresh = Field(g2, arr.copy(), PHYSICAL)
+        assert after == boundary_pairing(fresh, fresh, spec)
+        assert after != before
+
+    def test_memo_under_thread_contention(self):
+        # more threads than cores race to build the same entries; every
+        # value must carry the bits of the serial computation
+        f = gaussian_field(GridSpec(2, 6.8, 32), 1.0)
+        calls = [(fn, BoundarySpec(lam=lam))
+                 for lam in (0.5, 1.0, 2.0)
+                 for fn in (boundary_pairing, epsilon_limit_pairing)] * 3
+        serial = [fn(f, f, spec) for fn, spec in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _memo_reduction.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fn, f, f, spec) for fn, spec in calls]
+                threaded = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_unconverged_quadrature_raises(self, g2):
+        f = gaussian_field(g2, 1.0)
+        spec = BoundarySpec(lam=1.0, rel_tol=1e-30)
+        with pytest.raises(ArithmeticError, match="unconverged"):
+            boundary_pairing(f, f, spec)
+        with pytest.raises(ArithmeticError, match="unconverged"):
+            epsilon_pairing(f, f, spec, 0.1)
+        with pytest.raises(ArithmeticError, match="unconverged"):
+            epsilon_limit_pairing(f, f, spec)
 
 
 class TestRichardson:

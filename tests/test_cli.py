@@ -10,6 +10,7 @@ import pytest
 from laplab.cli import (
     DEFAULTS,
     EXIT_CRITERIA,
+    EXIT_HOLES,
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
@@ -18,6 +19,8 @@ from laplab.cli import (
     validate_config,
     write_table,
 )
+from laplab import cli
+from laplab.boundary import _memo_reduction
 from laplab.lattice import GridSpec
 
 
@@ -197,6 +200,24 @@ class TestResolventCommand:
         _, _, rows = read_table(out / "resolvent.csv")
         assert len(rows) == 1
 
+    def test_failed_pairing_is_a_hole(self, tmp_path, monkeypatch, capsys):
+        real = cli.epsilon_limit_pairing
+
+        def flaky(f, g, spec):
+            if spec.lam == 1.0:
+                raise ArithmeticError("forced failure")
+            return real(f, g, spec)
+
+        monkeypatch.setattr(cli, "epsilon_limit_pairing", flaky)
+        code, out = run(["resolvent", "--set", "grid.points_per_axis=32",
+                         "--set", "lambdas=[0.5,1.0]",
+                         "--set", "family.count=1"], tmp_path, "hole")
+        assert code == EXIT_HOLES
+        assert read_summary(out / "resolvent.json")["holes"] == 1
+        _, _, rows = read_table(out / "resolvent.csv")
+        assert [row[3] == "nan" for row in rows] == [False, True]
+        assert "forced failure" in capsys.readouterr().err
+
 
 class TestKernelCommand:
     def test_empty_radii(self, tmp_path):
@@ -261,6 +282,19 @@ class TestWorkers:
         _, ref = run(args, tmp_path, "ser")
         assert (out / "norms.csv").read_bytes() == \
             (ref / "norms.csv").read_bytes()
+
+    def test_resolvent_threads_byte_identical(self, tmp_path, monkeypatch):
+        # the radial-reduction memo is shared by the worker threads; a cold
+        # memo makes both runs build their tables
+        args = ["resolvent", "--set", "lambdas=[0.5,1.0]",
+                "--set", "family.count=2"]
+        tables = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LAPLAB_WORKERS", workers)
+            _memo_reduction.cache_clear()
+            _, out = run(args, tmp_path, f"w{workers}")
+            tables.append((out / "resolvent.csv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestTableFormat:
