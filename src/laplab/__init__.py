@@ -1,9 +1,8 @@
 """laplab: a numerical laboratory for limiting absorption of high-order
 Schrodinger operators (-Laplace)^m + V on periodic spectral lattices."""
 
-from .lattice import (Field, GridSpec, SpectralInterpolator, forward_transform,
-                      inverse_transform, nudft_forward, parseval_defect,
-                      sample)
+from .lattice import (Field, GridSpec, forward_transform, inverse_transform,
+                      nudft_forward, parseval_defect, sample)
 from .spaces import (CompositeNormConfig, DyadicShells, LorentzExponents,
                      WeightParams, b_norm, bstar_norm, lorentz_norm, lp_norm,
                      mu_weight, stein_tomas_exponent, x_norm_upper, xstar_norm)
@@ -17,11 +16,11 @@ from .perturb import (AdmissibilityConfig, Potential, admissibility_check,
                       lap_perturbed_sweep, radial_average)
 from .family import FAMILY_VERSION, FamilySpec, shell_stress_family, standard_family
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
-    "Field", "GridSpec", "SpectralInterpolator", "forward_transform",
-    "inverse_transform", "nudft_forward", "parseval_defect", "sample",
+    "Field", "GridSpec", "forward_transform", "inverse_transform",
+    "nudft_forward", "parseval_defect", "sample",
     "CompositeNormConfig", "DyadicShells", "LorentzExponents", "WeightParams",
     "b_norm", "bstar_norm", "lorentz_norm", "lp_norm", "mu_weight",
     "stein_tomas_exponent", "x_norm_upper", "xstar_norm",

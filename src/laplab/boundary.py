@@ -27,14 +27,20 @@ The epsilon-limit backend integrates the same radial integrand with the
 resolved Lorentzian denominator and Richardson-extrapolates over a geometric
 epsilon sequence.
 
+The full-field operator adds to the lattice principal-value multiplier the
+surface field, the Stein-Tomas extension of the sphere trace.  The transform
+being a trigonometric polynomial, that field is exactly the lattice
+convolution h^d sum_y f(y) sigmahat(r |x - y|): one zero-padded FFT pair.
+
 The oscillatory kernel of the singular part near the north pole,
 
     K(x', x_d) = (2 pi)^{-(d-1)} i H(x_d)
                  integral exp(i (x_d phi(xi') + x'.xi')) Q(xi') d xi',
 
 with phi(xi') = sqrt(r^2 - |xi'|^2) and Q the graph weight tapered to a
-compact north-pole patch, is evaluated by refined product quadrature and
-feeds the (1+|x|)^{-(d-1)/2} decay scan.
+compact north-pole patch, depends on xi' only through |xi'|, so it is one
+radial sum with the weight rho^{d-2} sigmahat_{d-1}(rho |x'|), refined by node
+doubling; it feeds the (1+|x|)^{-(d-1)/2} decay scan.
 """
 
 from __future__ import annotations
@@ -50,13 +56,7 @@ from numpy.polynomial.chebyshev import chebinterpolate
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .lattice import (
-    Field,
-    PHYSICAL,
-    SpectralInterpolator,
-    forward_transform,
-    inverse_transform,
-)
+from .lattice import Field, PHYSICAL, forward_transform, inverse_transform
 from .multiplier import _smooth_ramp, apply_values, pm_values
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "KernelSample",
     "BoundaryField",
     "DecayScan",
-    "unit_sphere_rule",
     "boundary_pairing",
     "epsilon_pairing",
     "richardson_limit",
@@ -75,37 +74,11 @@ __all__ = [
 ]
 
 
-def unit_sphere_rule(d: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature on the unit sphere S^{d-1}: directions (K, d) and weights
-    summing to the sphere area.  d=2: uniform trapezoid in angle (spectrally
-    accurate); d=3: Gauss-Legendre in the polar cosine x uniform azimuth."""
-    if d == 2:
-        K = 2 * n_polar
-        th = 2.0 * np.pi * np.arange(K) / K
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        wts = np.full(K, 2.0 * np.pi / K)
-        return dirs, wts
-    if d == 3:
-        c, wc = leggauss(n_polar)
-        n_az = 2 * n_polar
-        ph = 2.0 * np.pi * np.arange(n_az) / n_az
-        s = np.sqrt(1.0 - c**2)
-        dirs = np.stack(
-            [
-                np.outer(s, np.cos(ph)).ravel(),
-                np.outer(s, np.sin(ph)).ravel(),
-                np.repeat(c, n_az),
-            ],
-            axis=1,
-        )
-        wts = np.repeat(wc, n_az) * (2.0 * np.pi / n_az)
-        return dirs, wts
-    raise ValueError(f"sphere quadrature implemented for d in {{2, 3}}, got {d}")
-
-
 def _sphere_ft(d: int, s: np.ndarray) -> np.ndarray:
     """Fourier transform of the unit sphere's surface measure at |y| = s:
-    the integral of exp(i s omega_1) over S^{d-1}."""
+    the integral of exp(i s omega_1) over S^{d-1} (S^0 = {-1, 1})."""
+    if d == 1:
+        return 2.0 * np.cos(s)
     if d == 2:
         return 2.0 * np.pi * special.j0(s)
     if d == 3:
@@ -114,20 +87,48 @@ def _sphere_ft(d: int, s: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi**2 * (special.j0(s) + special.jv(2, s))
 
 
+def _offsets(n: int) -> np.ndarray:
+    """|k| of the lattice offset k at index j of a zero-padded 2n-point FFT:
+    j, or 2n - j from n on."""
+    return np.minimum(np.arange(2 * n), np.arange(2 * n, 0, -1))
+
+
+def _sum_sq(k: np.ndarray, d: int) -> np.ndarray:
+    """|k|^2 on the d-fold grid of the integer offsets k, as int32."""
+    k = k.astype(np.int32) ** 2
+    return sum(np.ix_(*([k] * d)))
+
+
+def _padded_fft(values: np.ndarray) -> np.ndarray:
+    """The (2n)^d FFT of an n^d array zero-padded along every axis, in one
+    buffer: each axis is transformed in place, over the slabs that the axes
+    still untransformed leave nonzero."""
+    n, d = values.shape[0], values.ndim
+    buf = np.zeros((2 * n,) * d, dtype=np.complex128)
+    buf[(slice(0, n),) * d] = values
+    for ax in reversed(range(d)):
+        part = buf[(slice(0, n),) * ax]
+        np.fft.fft(part, axis=ax, out=part)
+    return buf
+
+
 def _debye_terms(f: Field, g: Field) -> tuple[np.ndarray, np.ndarray]:
     """Radii |y| of the lattice shells |y/h|^2 = j and the Debye weights, h^{2d}
     times the shell sums of C = f (star) conj g (one zero-padded FFT)."""
     d, n, h = f.grid.dimension, f.grid.points_per_axis, f.grid.spacing
-    fft = functools.partial(np.fft.fftn, s=(2 * n,) * d, axes=tuple(range(d)))
-    spec = fft(f.values)
-    spec *= np.conj(spec if g is f else fft(g.values))
+    spec = _padded_fft(f.values)
+    for a, b in zip(spec, spec if g is f else _padded_fft(g.values)):
+        a *= np.conj(b)         # slab by slab: no full-size temporary
     corr = np.fft.ifftn(spec, out=spec).ravel()
-    k = np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(np.int64) ** 2
-    k2 = sum(np.ix_(*([k] * d))).ravel()
-    sums = (np.bincount(k2, weights=corr.real)
-            + 1j * np.bincount(k2, weights=corr.imag))
-    shells = np.flatnonzero(np.bincount(k2))
-    return h * np.sqrt(shells), h ** (2 * d) * sums[shells]
+    k2 = _sum_sq(_offsets(n), d).ravel()
+    re, im = np.zeros((2, d * n * n + 1))
+    # in index order, in chunks: the additions of one bincount, without its
+    # full-size copies of the index and the weights
+    for lo in range(0, k2.size, 2**18):
+        np.add.at(re, k2[lo:lo + 2**18], corr.real[lo:lo + 2**18])
+        np.add.at(im, k2[lo:lo + 2**18], corr.imag[lo:lo + 2**18])
+    shells = np.flatnonzero(np.bincount(_sum_sq(np.arange(n + 1), d).ravel()))
+    return h * np.sqrt(shells), h ** (2 * d) * (re + 1j * im)[shells]
 
 
 def sphere_restriction_norm(f: Field, r: float) -> float:
@@ -150,8 +151,6 @@ class BoundarySpec:
     m: int = 1
     backend: str = "plemelj"
     delta: float = 0.5
-    n_polar: int = 48
-    pad_factor: int = 4
     pv_window_frac: float = 0.25    # radial half-width of the p.v. window, as a fraction of r
     eps_start: float = 0.1
     eps_count: int = 6
@@ -423,27 +422,29 @@ class BoundaryField:
                        - w * np.sum(self.source.values * np.conj(g.values)))
 
 
-def _surface_extension(f: Field, spec: BoundarySpec, chunk: int = 64) -> Field:
+def _surface_extension(f: Field, spec: BoundarySpec) -> Field:
     """The delta-term field: +- i pi (2pi)^{-d} (coarea) integral over the
-    r-sphere of exp(-i xi.x) fhat(xi), sampled on the physical lattice."""
+    r-sphere of exp(-i xi.x) fhat(xi), sampled on the physical lattice.  fhat
+    is a trigonometric polynomial, so the sphere integral is exactly
+    h^d sum_y f(y) sigmahat(r |x - y|), a linear convolution over the lattice
+    offsets: one zero-padded (2n)^d FFT pair."""
     grid = f.grid
-    d, m, r = grid.dimension, spec.m, spec.r
-    dirs, wts = unit_sphere_rule(d, spec.n_polar)
-    pts = r * dirs
-    fh = SpectralInterpolator(f, pad_factor=spec.pad_factor)(pts)
+    d, n, h, m, r = (grid.dimension, grid.points_per_axis, grid.spacing,
+                     spec.m, spec.r)
     coef = (spec.sign * 1j * np.pi / (2.0 * np.pi) ** d
-            * r ** (d - 1) / (2 * m * r ** (2 * m - 1)))
-    x = grid.axis_coords()
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    amps = coef * wts * fh
-    for lo in range(0, len(pts), chunk):
-        sub = pts[lo:lo + chunk]
-        phase = np.exp(-1j * np.multiply.outer(sub[:, 0], x))
-        for ax in range(1, d):
-            e = np.exp(-1j * np.multiply.outer(sub[:, ax], x))
-            phase = phase[..., None] * e.reshape((len(sub),) + (1,) * ax + (len(x),))
-        out += np.tensordot(amps[lo:lo + chunk], phase, axes=(0, 0))
-    return Field(grid, out, PHYSICAL)
+            * r ** (d - 1) / (2 * m * r ** (2 * m - 1)) * h**d)
+    mirror = _offsets(n)
+    # the kernel is even in every axis, so its DFT is real and even: per axis,
+    # the rfft of the mirrored n + 1 offsets
+    khat = _sphere_ft(d, r * h * np.sqrt(_sum_sq(np.arange(n + 1), d)))
+    for ax in range(d):
+        khat = np.fft.rfft(np.take(khat, mirror, axis=ax), axis=ax).real.copy()
+    conv = _padded_fft(f.values)
+    rest = np.ix_(*([mirror] * (d - 1)))
+    for slab, i in zip(conv, mirror):
+        slab *= khat[i][rest]
+    out = np.fft.ifftn(conv, out=conv)[(slice(0, n),) * d]
+    return Field(grid, coef * out, PHYSICAL)
 
 
 def boundary_apply(f: Field, spec: BoundarySpec) -> BoundaryField:
@@ -463,9 +464,10 @@ def boundary_apply(f: Field, spec: BoundarySpec) -> BoundaryField:
         raise ValueError(
             f"lambda = {spec.lam} collides with a lattice symbol value"
         )
+    # first, so that its (2n)^d buffer is the only large array alive
+    surf = _surface_extension(f, spec)
     F = forward_transform(f)
     pv = inverse_transform(F.with_values(F.values / (pm - spec.lam)))
-    surf = _surface_extension(f, spec)
     total = f.with_values(pv.values + surf.values)
 
     diagnostics = {"lattice_gap": float(gap)}
@@ -529,25 +531,14 @@ class KernelSample:
 
 def _kernel_quad(lam: float, m: int, d: int, x: np.ndarray, n_rad: int,
                  s0: float, s1: float) -> complex:
+    """K(x) by n_rad Gauss-Legendre nodes in rho = |xi'| on (0, s1 r); the
+    angular integral over xi' is sigmahat_{d-1}(rho |x'|)."""
     r = lam ** (1.0 / (2 * m))
-    if d == 2:
-        xi, w = _panel_nodes(-s1 * r * 0.9999, s1 * r * 0.9999, n_rad)
-        phi, q = graph_and_weight(lam, m, xi[:, None], s0, s1)
-        phase = np.exp(1j * (x[1] * phi + x[0] * xi))
-        return complex(np.sum(w * q * phase) * 1j / (2.0 * np.pi))
-    if d == 3:
-        rho, w = _panel_nodes(1e-9, s1 * r * 0.9999, n_rad)
-        n_az = max(16, n_rad)
-        alpha = 2.0 * np.pi * np.arange(n_az) / n_az
-        phi, q = graph_and_weight(lam, m, rho[:, None] * np.array([[1.0, 0.0]]),
-                                  s0, s1)
-        radial = w * rho * q * np.exp(1j * x[2] * phi)
-        xp = np.hypot(x[0], x[1])
-        beta = math.atan2(x[1], x[0])
-        ang = np.exp(1j * np.outer(rho, xp * np.cos(alpha - beta))).sum(axis=1)
-        ang *= 2.0 * np.pi / n_az
-        return complex(np.sum(radial * ang) * 1j / (2.0 * np.pi) ** 2)
-    raise ValueError(f"kernel implemented for d in {{2, 3}}, got {d}")
+    rho, w = _panel_nodes(0.0, s1 * r, n_rad)
+    phi, q = graph_and_weight(lam, m, rho[:, None], s0, s1)
+    ang = _sphere_ft(d - 1, rho * np.linalg.norm(x[:-1]))
+    vals = w * rho ** (d - 2) * q * np.exp(1j * x[-1] * phi) * ang
+    return complex(np.sum(vals) * 1j / (2.0 * np.pi) ** (d - 1))
 
 
 def kernel_k_plus(lam: float, m: int, d: int, x: Sequence[float],

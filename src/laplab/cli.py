@@ -25,7 +25,7 @@ from . import __version__
 from .boundary import (BoundarySpec, boundary_pairing, decay_scan,
                        epsilon_limit_pairing)
 from .family import FAMILY_VERSION, FamilySpec, standard_family
-from .lattice import Field, GridSpec, PHYSICAL
+from .lattice import DEFAULT_MAX_POINTS, Field, GridSpec, PHYSICAL
 from .perturb import (Potential, direct_eigs, eigen_scan, example_potential,
                       lap_perturbed_sweep)
 from .spaces import (CompositeNormConfig, LorentzExponents, b_norm,
@@ -479,19 +479,14 @@ _MAX_TILT = np.deg2rad(30.0)
 
 
 def _directions(d, n):
-    # rays inside the cone covered by the north-pole patch of the kernel
-    # weight: outside it the taper makes the kernel decay faster than the
-    # normalized rate and the band comparison is vacuous (the kernel also
-    # vanishes identically for x_d < 0)
-    if n < 1:
-        return []
+    # rays sin(t) e_1 + cos(t) e_d inside the cone covered by the north-pole
+    # patch of the kernel weight: outside it the taper makes the kernel decay
+    # faster than the normalized rate and the band comparison is vacuous (the
+    # kernel also vanishes identically for x_d < 0).  K depends on x' only
+    # through |x'|, so one tilt per ray is every direction there is.
     tilts = _MAX_TILT * np.arange(n) / max(n - 1, 1)
-    if d == 2:
-        return [np.array([np.sin(t), np.cos(t)]) for t in tilts]
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    return [np.array([np.sin(t) * np.cos(golden * i),
-                      np.sin(t) * np.sin(golden * i), np.cos(t)])
-            for i, t in enumerate(tilts)]
+    return [np.eye(d)[0] * np.sin(t) + np.eye(d)[-1] * np.cos(t)
+            for t in tilts]
 
 
 def cmd_sweep(cfg, out_dir) -> int:
@@ -582,8 +577,12 @@ def cmd_potential(cfg, out_dir) -> int:
     base = _grid(cfg)
     # the staircase needs cells much smaller than the thinnest shell, so the
     # report runs on its own refinement of the configured box
-    grid = GridSpec(base.dimension, base.half_width,
-                    max(base.points_per_axis, int(pc["points_per_axis"])))
+    n = max(base.points_per_axis, int(pc["points_per_axis"]))
+    if n**base.dimension > DEFAULT_MAX_POINTS:
+        raise ValueError(f"potential_report.points_per_axis: a {n}^"
+                         f"{base.dimension} report grid exceeds the budget of "
+                         f"{DEFAULT_MAX_POINTS} points")
+    grid = GridSpec(base.dimension, base.half_width, n)
     q = float(pc["q"])
     truncs = [int(N) for N in pc["truncations"]]
     ref = int(pc["reference"])

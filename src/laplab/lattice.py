@@ -35,7 +35,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "nudft_forward",
-    "SpectralInterpolator",
     "parseval_defect",
     "boundary_mass_ratio",
 ]
@@ -253,12 +252,12 @@ def nudft_forward(f: Field, points: np.ndarray, chunk: int = 256) -> np.ndarray:
 
 
 class SpectralInterpolator:
-    """Smooth off-lattice evaluator for the transform of a physical field.
+    """Spline evaluator of the transform of a physical field off the lattice,
+    kept only as an independent test oracle: no library code uses it.
 
     Zero-pads the field into a ``pad_factor`` times larger box (legal because
     test fields decay), transforms, and spline-interpolates the refined
-    spectral lattice.  Far cheaper than :func:`nudft_forward` for large point
-    batches; accuracy is set by the refined spacing and the spline order.
+    spectral lattice; accuracy is set by the refined spacing and the order.
     """
 
     def __init__(self, f: Field, pad_factor: int = 4, order: int = 5):

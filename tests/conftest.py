@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from laplab.lattice import Field, GridSpec, PHYSICAL, sample
 
@@ -42,3 +43,31 @@ def gaussian_field(grid, width=1.0, center=None, wavevector=None) -> Field:
     vals = np.exp(-r2 / (2.0 * width**2)) * np.exp(1j * ph)
     return Field(grid, np.ascontiguousarray(np.broadcast_to(vals, grid.shape)),
                  PHYSICAL)
+
+
+def unit_sphere_rule(d: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature on the unit sphere S^{d-1}: directions (K, d) and weights
+    summing to the sphere area.  d=2: uniform trapezoid in angle (spectrally
+    accurate); d=3: Gauss-Legendre in the polar cosine x uniform azimuth."""
+    if d == 2:
+        K = 2 * n_polar
+        th = 2.0 * np.pi * np.arange(K) / K
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        wts = np.full(K, 2.0 * np.pi / K)
+        return dirs, wts
+    if d == 3:
+        c, wc = leggauss(n_polar)
+        n_az = 2 * n_polar
+        ph = 2.0 * np.pi * np.arange(n_az) / n_az
+        s = np.sqrt(1.0 - c**2)
+        dirs = np.stack(
+            [
+                np.outer(s, np.cos(ph)).ravel(),
+                np.outer(s, np.sin(ph)).ravel(),
+                np.repeat(c, n_az),
+            ],
+            axis=1,
+        )
+        wts = np.repeat(wc, n_az) * (2.0 * np.pi / n_az)
+        return dirs, wts
+    raise ValueError(f"sphere quadrature implemented for d in {{2, 3}}, got {d}")

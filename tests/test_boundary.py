@@ -2,12 +2,14 @@
 oscillatory kernel."""
 
 import dataclasses
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from laplab.boundary import (
@@ -21,16 +23,20 @@ from laplab.boundary import (
     kernel_k_plus,
     richardson_limit,
     sphere_restriction_norm,
-    unit_sphere_rule,
+    _debye_terms,
     _memo_reduction,
     _RadialReduction,
 )
 from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
-                            forward_transform)
+                            forward_transform, nudft_forward)
 from laplab.multiplier import pm_values
 from laplab.spaces import b_norm, bstar_norm
 
-from conftest import gaussian_field
+from conftest import gaussian_field, unit_sphere_rule
+
+# few examples, no time limit, and the same examples on every run
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
+                    database=None)
 
 
 class TestSphereQuadrature:
@@ -149,6 +155,16 @@ class TestPairing:
         assert abs(P.imag) / abs(P) < 1e-5
         assert abs(P - plain) / abs(plain) < 1e-4
 
+    @PROPERTY
+    @given(lam=st.floats(0.5, 2.0), width=st.floats(0.5, 1.5),
+           shift=st.floats(-1.0, 1.0), k=st.floats(-1.5, 1.5))
+    def test_sign_conjugates_property(self, lam, width, shift, k):
+        f = gaussian_field(GridSpec(2, 6.8, 32), width, center=(shift, 0.0),
+                           wavevector=(k, 0.5))
+        plus = boundary_pairing(f, f, BoundarySpec(lam=lam, sign=+1))
+        minus = boundary_pairing(f, f, BoundarySpec(lam=lam, sign=-1))
+        assert minus == pytest.approx(np.conj(plus), rel=1e-10)
+
     def test_holder_continuity_in_lambda(self, gauss10):
         h = 0.01
         P = boundary_pairing(gauss10, gauss10, BoundarySpec(lam=1.0))
@@ -224,6 +240,27 @@ class TestRadialReduction:
                            for p in rho])
         err = np.max(np.abs(red.angular(rho) - spline))
         assert err < 1e-7 * np.max(np.abs(spline))
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_debye_terms_match_bincount(self, same):
+        # the chunked shell sums make the additions of one bincount over the
+        # whole padded correlation, in the same order, so they agree to the
+        # bit; 80^3 offsets span two chunks
+        grid = GridSpec(3, 6.8, 40)
+        f, g = offset_and_modulated(grid)
+        g = f if same else g
+        fft = functools.partial(np.fft.fftn, s=(80, 80, 80), axes=(0, 1, 2))
+        spec = fft(f.values)
+        spec *= np.conj(fft(g.values))
+        corr = np.fft.ifftn(spec, out=spec).ravel()
+        k = np.fft.fftfreq(80, 1.0 / 80).astype(np.int64) ** 2
+        k2 = sum(np.ix_(k, k, k)).ravel()
+        sums = (np.bincount(k2, weights=corr.real)
+                + 1j * np.bincount(k2, weights=corr.imag))
+        shells = np.flatnonzero(np.bincount(k2))
+        radii, weights = _debye_terms(f, g)
+        assert np.array_equal(radii, grid.spacing * np.sqrt(shells))
+        assert np.array_equal(weights, grid.spacing**6 * sums[shells])
 
     def test_table_matches_debye_sum(self, g2):
         f, g = offset_and_modulated(g2)
@@ -361,6 +398,37 @@ class TestBoundaryApply:
                     * g2.cell_volume)
         assert abs(bf.weak_residual(gtest)) < 1e-8 * max(scale, 1.0)
 
+    def test_weak_residual_d4(self, g4):
+        # at n = 24 the unit Gaussian's tails at the box edge and its spectrum
+        # at the Nyquist frequency are both near exp(-pi n / 4) = 7e-9
+        f = gaussian_field(g4, 1.0)
+        bf = boundary_apply(f, BoundarySpec(lam=1.0, sign=+1, m=1))
+        scale = abs(np.sum(f.values * np.conj(f.values)) * g4.cell_volume)
+        assert abs(bf.weak_residual(f)) < 1e-8 * scale
+
+    @pytest.mark.parametrize("grid, n_polar", [("g2", 128), ("g3", 40)])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_surface_field_sphere_rule_oracle(self, request, grid, n_polar,
+                                              lam):
+        # the sphere integral of exp(-i xi.x) fhat(xi), by a fine sphere rule
+        # over the direct transform, at 200 random lattice points
+        grid = request.getfixturevalue(grid)
+        d = grid.dimension
+        f, g = offset_and_modulated(grid)
+        f = f.with_values(f.values + g.values)
+        spec = BoundarySpec(lam=lam, sign=+1, m=1)
+        surf = boundary_apply(f, spec).surface_part.values
+        dirs, wts = unit_sphere_rule(d, n_polar)
+        r = spec.r
+        coef = 1j * np.pi * (2.0 * np.pi) ** (-d) * r ** (d - 2) / 2.0
+        idx = np.random.default_rng(3).integers(0, grid.points_per_axis,
+                                                (200, d))
+        x = grid.axis_coords()[idx]
+        oracle = coef * np.exp(-1j * r * x @ dirs.T) @ (
+            wts * nudft_forward(f, r * dirs))
+        err = np.max(np.abs(surf[tuple(idx.T)] - oracle))
+        assert err < 1e-13 * np.max(np.abs(oracle))
+
     def test_weak_residual_detects_wrong_total(self, g2, gauss2):
         bf = boundary_apply(gauss2, BoundarySpec(lam=1.0, sign=+1, m=1))
         doubled = dataclasses.replace(
@@ -422,6 +490,55 @@ class TestKernel:
             1.0, 1, np.array([[xi]]))[1], -0.79992, 0.79992, limit=200)
         oracle = 1j * val / (2.0 * np.pi)
         assert abs(s.value - oracle) / abs(oracle) < 1e-8
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("height", [0.0, 3.0])
+    def test_axis_oracle(self, d, height):
+        # on the axis x' = 0 the angular integral is the area of S^{d-2}, and
+        # the radial integral is left to adaptive quadrature
+        x = np.zeros(d)
+        x[-1] = height
+        s = kernel_k_plus(1.0, 1, d, x, tol=1e-10)
+
+        def radial(part):
+            def integrand(rho):
+                phi, q = graph_and_weight(1.0, 1, np.array([[rho]]))
+                return rho ** (d - 2) * q * part(height * phi)
+            return quad(integrand, 0.0, 0.8, limit=200, epsabs=0.0,
+                        epsrel=1e-12)[0]
+
+        oracle = (1j * sphere_area(d - 1) * (2.0 * np.pi) ** (1 - d)
+                  * complex(radial(np.cos), radial(np.sin)))
+        assert abs(s.value - oracle) / abs(oracle) < 1e-11
+
+    def test_line_oracle_d2(self):
+        # at d = 2 the defining integral over the line xi' in (-0.8, 0.8),
+        # off the axis, by adaptive quadrature
+        x = np.array([3.0, 2.0])
+        s = kernel_k_plus(1.0, 1, 2, x, tol=1e-10)
+
+        def part(fn):
+            def integrand(xi):
+                phi, q = graph_and_weight(1.0, 1, np.array([[xi]]))
+                return q * fn(x[1] * phi + x[0] * xi)
+            return quad(integrand, -0.8, 0.8, limit=200, epsabs=0.0,
+                        epsrel=1e-12)[0]
+
+        oracle = 1j * complex(part(np.cos), part(np.sin)) / (2.0 * np.pi)
+        assert abs(s.value - oracle) / abs(oracle) < 1e-11
+
+    @PROPERTY
+    @given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+           radius=st.floats(0.0, 20.0), height=st.floats(0.0, 20.0))
+    def test_rotation_invariance(self, d, seed, radius, height):
+        # K depends on x' only through |x'|
+        rng = np.random.default_rng(seed)
+        xp = rng.standard_normal(d - 1)
+        xp *= radius / np.linalg.norm(xp)
+        rot, _ = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
+        a = kernel_k_plus(1.0, 1, d, np.append(xp, height), tol=1e-12)
+        b = kernel_k_plus(1.0, 1, d, np.append(rot @ xp, height), tol=1e-12)
+        assert abs(b.value - a.value) <= 1e-10 * abs(a.value)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="components"):

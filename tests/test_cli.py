@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestExitCodes:
                       tmp_path, "eig")
         assert code == EXIT_VALIDATION
         assert "eigenvalue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_dimension_4_runs_or_is_refused(tmp_path, capsys, command):
+    # every command either runs at d = 4 or names the field that rules it out
+    code, _ = run([command, "--set", "grid.dimension=4",
+                   "--set", "grid.points_per_axis=16",
+                   "--set", "lambdas=[1.0]", "--set", "epsilons=[0.1,0.05]",
+                   "--set", "family.count=2"], tmp_path, command)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_VALIDATION:
+        assert re.search(r"^config error: [a-z_]+(\.[a-z_]+)+: ", err, re.M)
+    else:
+        assert code in (EXIT_OK, EXIT_CRITERIA)
 
 
 class TestSweepCommand:
@@ -304,7 +320,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.3.0", "family/1"]
+                                   "laplab/0.4.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

@@ -1,12 +1,16 @@
 """Every module-level import in the package is used (no linter is installed,
-so this walks the syntax trees)."""
+so this walks the syntax trees), and every name the benchmark's tracer wraps
+exists."""
 
 import ast
+import functools
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "laplab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "laplab"
 
 
 def unused_imports(source: str) -> list:
@@ -37,6 +41,19 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_tracer_targets_resolve():
+    # bench/tracer.py looks each target up by name when it installs, so a
+    # renamed or deleted function breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"laplab.{module}")
+        target = functools.reduce(getattr, attr.split("."), owner)
+        assert callable(target), f"laplab.{module}.{attr}"
 
 
 def test_detector_flags_an_unused_import():
