@@ -11,12 +11,12 @@ from .multiplier import (CutoffSpec, Symbol, apply_symbol, chi_lambda,
 from .boundary import (BoundarySpec, boundary_apply, boundary_pairing,
                        decay_scan, epsilon_limit_pairing, graph_and_weight,
                        kernel_k_plus, sphere_restriction_norm)
-from .perturb import (AdmissibilityConfig, Potential, admissibility_check,
-                      bs_solve, direct_eigs, eigen_scan, example_potential,
-                      lap_perturbed_sweep, radial_average)
+from .perturb import (AdmissibilityConfig, EigenvalueCounter, Potential,
+                      admissibility_check, bs_solve, direct_eigs, eigen_scan,
+                      example_potential, lap_perturbed_sweep, radial_average)
 from .family import FAMILY_VERSION, FamilySpec, shell_stress_family, standard_family
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "Field", "GridSpec", "forward_transform", "inverse_transform",
@@ -29,8 +29,8 @@ __all__ = [
     "BoundarySpec", "boundary_apply", "boundary_pairing", "decay_scan",
     "epsilon_limit_pairing", "graph_and_weight", "kernel_k_plus",
     "sphere_restriction_norm",
-    "AdmissibilityConfig", "Potential", "admissibility_check", "bs_solve",
-    "direct_eigs", "eigen_scan", "example_potential", "lap_perturbed_sweep",
-    "radial_average",
+    "AdmissibilityConfig", "EigenvalueCounter", "Potential",
+    "admissibility_check", "bs_solve", "direct_eigs", "eigen_scan",
+    "example_potential", "lap_perturbed_sweep", "radial_average",
     "FAMILY_VERSION", "FamilySpec", "shell_stress_family", "standard_family",
 ]

@@ -1,6 +1,6 @@
 """Perturbations V of the high-order Laplacian: admissibility diagnostics,
-the Birman-Schwinger solve (Id + R_0(z) V)^{-1} R_0(z), eigenvalue scans, and
-resolvent sweeps for H = (-Delta)^m + V.
+the Birman-Schwinger solve (Id + R_0(z) V)^{-1} R_0(z), exact eigenvalue
+counts and scans, and resolvent sweeps for H = (-Delta)^m + V.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import ldl
 from scipy.sparse.linalg import LinearOperator, eigsh, lgmres
 
 from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
@@ -36,6 +37,7 @@ __all__ = [
     "direct_eigs",
     "EigenScanResult",
     "eigen_scan",
+    "EigenvalueCounter",
     "SweepRow",
     "lap_perturbed_sweep",
     "radial_average",
@@ -289,97 +291,132 @@ def direct_eigs(m: int, V: Potential, k: int = 4) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue scan via the Birman-Schwinger determinant surrogate
+# exact eigenvalue counts via the Birman-Schwinger Schur complement
 # ---------------------------------------------------------------------------
 
-class _BirmanSchwingerScanner:
-    """Smallest singular value of Id + R_0(z) V restricted to the support
-    of V.
+#: final bracket width of a located eigenvalue, relative to max(1, |lambda|)
+BISECTION_WIDTH = 1e-12
 
-    u + R_0(z) V u = 0 with u != 0 forces w = V u != 0 and
-    w + V R_0(z) w = 0 on supp V, and conversely; on the lattice the
-    restriction is exact, so dips of the restricted operator locate the
-    discrete eigenvalues without any basis truncation error.  Per z this
-    costs one FFT (the resolvent kernel on all offsets) plus a small SVD.
+
+class EigenvalueCounter:
+    """Exact counts #{eig H < lambda} of the lattice H = P_m(D) + V, and the
+    discrete spectral shift xi(lambda) = #{eig H < lambda} - #{P_m < lambda}.
+
+    Let D = diag(V) on the support S, E the injection of S into the lattice
+    and G(lambda) = E^T (P_m - lambda)^{-1} E the restricted lattice resolvent.
+    The bordered matrix [[P_m - lambda, E], [E^T, -D^{-1}]] has the Schur
+    complements H - lambda and -D^{-1} - G(lambda), so inertia additivity
+    (Haynsworth) gives
+
+        #{eig H < lambda} = #{P_m < lambda} + xi(lambda),
+        xi(lambda) = n_-(-D^{-1} - G(lambda)) - #{V > 0}.
+
+    For real lambda off the lattice values of P_m, G(lambda) is real symmetric,
+    and n_- is read off the pivots of a Bunch-Kaufman LDL^T factorisation
+    (Sylvester's law of inertia).  Per lambda this costs one FFT (the
+    resolvent kernel on all offsets) plus one |S| x |S| factorisation.
     """
 
     def __init__(self, V: Potential, m: int, max_nodes: int = 1500):
         grid = V.grid
-        vals = V.real_values()
-        idx = np.flatnonzero(np.abs(vals.ravel()) > 0)
-        self.truncated = len(idx) > max_nodes
-        if self.truncated:
+        vals = V.real_values().ravel()
+        idx = np.flatnonzero(vals)
+        self.warning = None
+        if len(idx) > max_nodes:
             # keep the strongest nodes; deterministic tie-break by index
-            mag = np.abs(vals.ravel()[idx])
-            order = np.lexsort((idx, -mag))
+            order = np.lexsort((idx, -np.abs(vals[idx])))
             idx = np.sort(idx[order[:max_nodes]])
-        self.grid, self.m = grid, m
-        self.idx = idx
-        self.v_at = vals.ravel()[idx]
-        n, d = grid.points_per_axis, grid.dimension
-        coords = np.stack(np.unravel_index(idx, grid.shape), axis=1)
-        self.offsets = tuple(
-            ((coords[:, None, ax] - coords[None, :, ax]) + n // 2) % n
-            for ax in range(d)
-        )
+            self.warning = (f"support truncated to {max_nodes} strongest "
+                            "nodes; counts are those of V restricted to them")
+        self.grid, self.pm = grid, pm_values(grid, m)
+        self.nodes = len(idx)
+        v_at = vals[idx]
+        self.inv_v = -1.0 / v_at
+        self.positive = int(np.count_nonzero(v_at > 0))
+        n = grid.points_per_axis
+        coords = np.unravel_index(idx, grid.shape)
+        # flat index of the centred offset x_j - x_k in the kernel array
+        self.gather = np.ravel_multi_index(
+            tuple((c[:, None] - c[None, :] + n // 2) % n for c in coords),
+            grid.shape)
 
-    def matrix(self, z: complex) -> np.ndarray:
-        grid = self.grid
-        mult = Field(grid, 1.0 / (pm_values(grid, self.m) - z), SPECTRAL)
-        kernel = inverse_transform(mult).values * grid.cell_volume
-        G = kernel[self.offsets]
-        return np.eye(len(self.idx)) + self.v_at[None, :] * G
+    def xi(self, lam: float) -> int:
+        """n_-(-D^{-1} - G(lambda)) - #{V > 0}; raises ValueError at a
+        lattice value of P_m, where G(lambda) does not exist."""
+        if self.nodes == 0:
+            return 0
+        gap = self.pm - lam
+        if not np.all(gap):
+            raise ValueError(f"lambda = {lam} is a lattice value of P_m")
+        kernel = inverse_transform(Field(self.grid, 1.0 / gap, SPECTRAL))
+        a = np.take(kernel.values.real, self.gather)
+        a *= -self.grid.cell_volume
+        a.flat[::self.nodes + 1] += self.inv_v
+        _, d, _ = ldl(a, overwrite_a=True, check_finite=False)
+        return _negative_inertia(d) - self.positive
 
-    def sigma_min(self, z: complex) -> float:
-        return float(np.linalg.svd(self.matrix(z), compute_uv=False)[-1])
+    def count(self, lam: float) -> int:
+        return int(np.count_nonzero(self.pm < lam)) + self.xi(lam)
+
+
+def _negative_inertia(d: np.ndarray) -> int:
+    """Number of negative eigenvalues of the block diagonal LDL^T factor:
+    1x1 pivots count by sign, each 2x2 pivot by its two eigenvalues."""
+    diag, sub = np.diagonal(d), np.diagonal(d, -1)
+    first = np.flatnonzero(sub)            # leading rows of the 2x2 pivots
+    single = np.ones(len(diag), dtype=bool)
+    single[first] = single[first + 1] = False
+    a, b, c = diag[first], sub[first], diag[first + 1]
+    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    return int(np.count_nonzero(diag[single] < 0)
+               + np.count_nonzero(mean - radius < 0)
+               + np.count_nonzero(mean + radius < 0))
 
 
 @dataclass(frozen=True)
 class EigenScanResult:
-    lambdas: np.ndarray
-    sigma_min: np.ndarray
-    candidates: list               # (lambda, dip depth relative to median)
-    eps_probe: float
-    sign: int
+    lambdas: np.ndarray            # every point counted, sorted
+    counts: np.ndarray             # #{eig H < lambda} at those points
+    candidates: list               # (eigenvalue, multiplicity)
     support_nodes: int
     warning: Optional[str] = None
 
 
 def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
-               eps_probe: float = 1e-3, steps: int = 120,
-               max_support_nodes: int = 1500, sign: int = +1,
-               dip_threshold: float = 0.5) -> EigenScanResult:
-    """Scan lambda in [a, b] for near-singularity of Id + R_0(lambda + i
-    sign eps) V restricted to the support of V.
+               steps: int = 120, max_support_nodes: int = 1500,
+               sign: int = +1) -> EigenScanResult:
+    """Every eigenvalue of H = P_m(D) + V in [a, b], with its multiplicity.
 
-    Local minima of the smallest singular value below ``dip_threshold`` times
-    the scan median are eigenvalue candidates.  The scan reports positive-axis
-    dips without classifying them.
+    Counts #{eig H < lambda} exactly on a ``steps``-point grid, then bisects
+    each grid cell where the count jumps until its bracket is narrower than
+    ``BISECTION_WIDTH * max(1, |lambda|)``; eigenvalues closer than that are
+    one candidate.  ``sign`` is kept for callers that probe lambda +- i0:
+    a count at real lambda does not depend on it.
     """
     a, b = interval
     if a >= b:
         raise ValueError("interval must satisfy a < b")
     if a <= 0 <= b:
         raise ValueError("interval must avoid 0")
-    lam = np.linspace(a, b, steps)
-    if V.is_zero():
-        return EigenScanResult(lam, np.ones(steps), [], eps_probe, sign, 0)
-    scanner = _BirmanSchwingerScanner(V, m, max_support_nodes)
-    sig = np.array([scanner.sigma_min(l + 1j * sign * eps_probe) for l in lam])
-    med = float(np.median(sig))
+    counter = EigenvalueCounter(V, m, max_support_nodes)
+    grid_lam = [float(l) for l in np.linspace(a, b, steps)]
+    counts = {l: counter.count(l) for l in grid_lam}
+    cells = list(zip(grid_lam[:-1], grid_lam[1:]))[::-1]
     candidates = []
-    for i in range(1, steps - 1):
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1] \
-                and sig[i] < dip_threshold * med:
-            candidates.append((float(lam[i]), float(sig[i] / med)))
-    warning = None
-    if scanner.truncated:
-        warning = (
-            f"support truncated to {len(scanner.idx)} strongest nodes; "
-            "dips may be unresolved"
-        )
-    return EigenScanResult(lam, sig, candidates, eps_probe, sign,
-                           len(scanner.idx), warning)
+    while cells:
+        lo, hi = cells.pop()
+        jump = counts[hi] - counts[lo]
+        if jump == 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= BISECTION_WIDTH * max(1.0, abs(mid)):
+            candidates.append((mid, jump))
+            continue
+        counts[mid] = counter.count(mid)
+        cells += [(mid, hi), (lo, mid)]
+    lam = np.array(sorted(counts))
+    return EigenScanResult(lam, np.array([counts[l] for l in lam]),
+                           candidates, counter.nodes, counter.warning)
 
 
 # ---------------------------------------------------------------------------

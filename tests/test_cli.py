@@ -110,7 +110,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,setting,field", [
         ("spectrum", "spectrum.interval=[1]", "spectrum.interval"),
         ("spectrum", "spectrum.steps=1", "spectrum.steps"),
-        ("spectrum", "spectrum.eps_probe=0", "spectrum.eps_probe"),
+        ("spectrum", "spectrum.oracle_rel=0", "spectrum.oracle_rel"),
         ("kernel", "kernel.radii=5", "kernel.radii"),
         ("kernel", "kernel.radii=[5,\"far\"]", "kernel.radii[1]"),
         ("kernel", "kernel.n_directions=1.5", "kernel.n_directions"),
@@ -119,30 +119,46 @@ class TestExitCodes:
          "potential_report.truncations[1]"),
         ("potential", "potential_report.reference=\"big\"",
          "potential_report.reference"),
+        ("potential", "potential_report.points_per_axis=513",
+         "potential_report.points_per_axis"),
+        pytest.param("potential",
+                     ["grid.dimension=3", "grid.points_per_axis=32",
+                      "potential_report.points_per_axis=64"],
+                     "potential_report.points_per_axis",
+                     id="potential-d3-report-too-coarse"),
         ("sweep", "tolerances.solver=0", "tolerances.solver"),
         ("norms", "tolerances.sqrt2_slack=[1]", "tolerances.sqrt2_slack"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, capsys, command,
                                          setting, field):
-        code, _ = run([command, "--set", setting], tmp_path, "badsec")
+        settings = [setting] if isinstance(setting, str) else setting
+        code, _ = run([command] + [a for s in settings for a in ("--set", s)],
+                      tmp_path, "badsec")
         assert code == EXIT_VALIDATION
         assert f"config error: {field}:" in capsys.readouterr().err
 
+    DEEP_WELL = ["--set", "grid.dimension=3", "--set", "grid.half_width=6.0",
+                 "--set", "grid.points_per_axis=32",
+                 "--set", "potential.kind=\"well\"",
+                 "--set", "potential.depth=-2.0",
+                 "--set", "epsilons=[0.1]", "--set", "family.count=1"]
+
     def test_sweep_near_eigenvalue_refuses(self, tmp_path, capsys):
-        # a deep well has a discrete eigenvalue inside the window: precondition
+        # the deep well pulls an eigenvalue out of [0.5, 0.7]: precondition
         # failure, not a criteria failure
-        code, _ = run(["sweep",
-                       "--set", "grid.dimension=3",
-                       "--set", "grid.half_width=6.0",
-                       "--set", "grid.points_per_axis=32",
-                       "--set", "potential.kind=\"well\"",
-                       "--set", "potential.depth=-2.0",
-                       "--set", "lambdas=[0.5]",
-                       "--set", "epsilons=[0.1]",
-                       "--set", "family.count=1"],
+        code, _ = run(["sweep", "--set", "lambdas=[0.6]"] + self.DEEP_WELL,
                       tmp_path, "eig")
         assert code == EXIT_VALIDATION
-        assert "eigenvalue" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "lambda=0.6" in err and "eigenvalue" in err
+
+    def test_sweep_between_shifted_box_modes_runs(self, tmp_path, capsys):
+        # [0.4, 0.6] holds 12 eigenvalues of H and 12 of P_m (the 12-fold box
+        # mode 0.548 splits and one member moves to 0.451): V moves none
+        # across the window, so lambda = 0.5 is not refused
+        code, _ = run(["sweep", "--set", "lambdas=[0.5]"] + self.DEEP_WELL,
+                      tmp_path, "boxmodes")
+        assert code != EXIT_VALIDATION, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -177,6 +193,14 @@ class TestSweepCommand:
         for key in ("drift_ok", "holes", "last_decade_drift", "drift_limit"):
             assert key in s
 
+    def test_weak_well_box_mode_window_runs(self, tmp_path, capsys):
+        # eight box modes near 1.07 lie in [0.9, 1.1] for H and for P_m alike
+        code, _ = run(["sweep", "--set", "potential.kind=\"well\"",
+                       "--set", "potential.depth=-0.05",
+                       "--set", "lambdas=[1.0]", "--set", "epsilons=[0.1]",
+                       "--set", "family.count=1"], tmp_path, "box")
+        assert code != EXIT_VALIDATION, capsys.readouterr().err
+
     def test_no_prescan_without_potential(self, tmp_path):
         _, out = run(["sweep"] + self.SMALL, tmp_path, "free")
         s = read_summary(out / "sweep.json")
@@ -204,6 +228,39 @@ class TestNorms:
         assert comment.startswith("# laplab-table-v1 norms")
         summary = read_summary(out / "norms.json")
         assert summary["fields"] == 0
+
+
+class TestSpectrumCommand:
+    def test_well_matches_lanczos(self, tmp_path):
+        code, out = run(["spectrum", "--set", "potential.kind=well",
+                         "--set", "potential.depth=-8",
+                         "--set", "grid.points_per_axis=32"], tmp_path, "sp")
+        assert code == EXIT_OK
+        _, header, rows = read_table(out / "spectrum.csv")
+        assert header == ["candidate", "multiplicity", "probe_halving_shift",
+                          "oracle_rel"]
+        s = read_summary(out / "spectrum.json")
+        assert s["ok"] is True and s["oracle"]
+        for cand, mult, width, rel in rows:
+            assert int(mult) >= 1
+            assert 0 < float(width) <= 1e-12 * max(1.0, abs(float(cand)))
+            assert float(rel) <= 1e-10
+
+    @pytest.mark.parametrize("fake", [
+        lambda eigs: eigs + 0.05,                        # every one moved
+        lambda eigs: np.sort(np.append(eigs, -2.0)),     # one extra
+        lambda eigs: eigs[eigs > -2.0],                  # the deepest lost
+    ], ids=["shifted", "extra", "missing"])
+    def test_unmatched_oracle_fails(self, tmp_path, monkeypatch, fake):
+        # the match is two-sided: a Lanczos eigenvalue without a candidate
+        # fails the run as much as a candidate without a Lanczos eigenvalue
+        real = cli.direct_eigs
+        monkeypatch.setattr(cli, "direct_eigs",
+                            lambda m, V, k: fake(real(m, V, k)))
+        code, _ = run(["spectrum", "--set", "potential.kind=well",
+                       "--set", "potential.depth=-8",
+                       "--set", "grid.points_per_axis=32"], tmp_path, "sp")
+        assert code == EXIT_CRITERIA
 
 
 class TestResolventCommand:
@@ -320,7 +377,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.4.0", "family/1"]
+                                   "laplab/0.5.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

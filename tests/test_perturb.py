@@ -1,16 +1,19 @@
 """Potentials, the Birman-Schwinger solve, eigenvalue scans, and perturbed
 resolvent sweeps."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from laplab.lattice import Field, GridSpec, PHYSICAL
-from laplab.multiplier import free_resolvent
+from laplab.multiplier import free_resolvent, pm_values
 from laplab.perturb import (
     AdmissibilityConfig,
+    EigenvalueCounter,
     Potential,
     admissibility_check,
     apply_hamiltonian,
@@ -37,6 +40,56 @@ def well_potential(grid, depth=-10.0, radius=1.0) -> Potential:
 def zero_potential(grid) -> Potential:
     z = Field(grid, np.zeros(grid.shape, dtype=complex), PHYSICAL)
     return Potential(field=z)
+
+
+def core_shell_potential(grid) -> Potential:
+    """-8 on |x| <= 1 and +3 on 1.5 < |x| <= 2, from the integer node
+    offsets to the centre, so it is exactly even in every coordinate."""
+    n = grid.points_per_axis
+    o = np.arange(n) - n // 2
+    k2 = sum(np.meshgrid(*([o * o] * grid.dimension), indexing="ij"))
+    r2 = k2 * grid.spacing**2
+    vals = np.where(r2 <= 1.0, -8.0, np.where((r2 > 2.25) & (r2 <= 4.0),
+                                               3.0, 0.0))
+    return Potential(field=Field(grid, vals.astype(complex), PHYSICAL))
+
+
+def dense_spectrum(V: Potential) -> np.ndarray:
+    """Eigenvalues of the lattice H = -Delta + V by dense eigvalsh.
+
+    -Delta is a sum of 1-D circulants with the even symbol xi^2, and V is
+    even in every coordinate, so H is block diagonal over the parity sectors
+    of the reflections j -> -j (mod n); each block is assembled and solved
+    densely, which keeps d = 3, n = 16 (4096 nodes) fast."""
+    grid = V.grid
+    n, d = grid.points_per_axis, grid.dimension
+    xi2 = np.fft.ifftshift(grid.axis_freqs() ** 2)
+    lap = np.fft.fft(xi2[:, None] * np.fft.ifft(np.eye(n), axis=0),
+                     axis=0).real
+    refl = (-np.arange(n)) % n
+    bases = []
+    for sgn, reps in ((1.0, range(n // 2 + 1)), (-1.0, range(1, n // 2))):
+        Q = np.zeros((n, len(reps)))
+        for c, j in enumerate(reps):
+            Q[j, c] += 1.0
+            Q[refl[j], c] += sgn
+        bases.append(Q / np.linalg.norm(Q, axis=0))
+    v = V.real_values().ravel()
+    eigs = []
+    for sector in np.ndindex(*(2,) * d):
+        Qs = [bases[p] for p in sector]
+        H = np.zeros((1, 1))
+        for ax, Q in enumerate(Qs):
+            term = np.ones((1, 1))
+            for ax2, Q2 in enumerate(Qs):
+                block = Q2.T @ lap @ Q2 if ax2 == ax else \
+                    np.eye(Q2.shape[1])
+                term = np.kron(term, block)
+            H = H + term
+        Q = functools.reduce(np.kron, Qs)
+        H = H + Q.T @ (v[:, None] * Q)
+        eigs.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(eigs))
 
 
 class TestPotential:
@@ -214,11 +267,78 @@ class TestRadialAverage:
         assert a6 == pytest.approx(0.5 * a3, rel=0.05)
 
 
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestInertiaCount:
+    LAMBDAS = np.linspace(-7.0, 3.3, 12)
+
+    @pytest.mark.parametrize("grid", [GridSpec(2, 6.0, 32),
+                                      GridSpec(3, 6.0, 16)],
+                             ids=["d2-n32", "d3-n16"])
+    def test_counts_match_dense_eigvalsh(self, grid):
+        V = core_shell_potential(grid)
+        counter = EigenvalueCounter(V, 1)
+        assert counter.positive > 0 and counter.nodes > counter.positive
+        eigs = dense_spectrum(V)
+        assert len(eigs) == grid.points_per_axis**grid.dimension
+        for lam in self.LAMBDAS:
+            # away from an eigenvalue, so roundoff cannot move the count
+            assert np.min(np.abs(eigs - lam)) > 1e-6
+            assert counter.count(lam) == np.count_nonzero(eigs < lam)
+
+    def test_dense_oracle_is_the_lanczos_spectrum(self):
+        V = core_shell_potential(GridSpec(2, 6.0, 32))
+        lanczos = direct_eigs(1, V, k=3)
+        assert dense_spectrum(V)[:3] == pytest.approx(lanczos, rel=1e-9)
+
+    @PROPERTY
+    @given(lo=st.floats(-8.0, 3.0), step=st.floats(0.0, 2.0))
+    def test_count_is_non_decreasing(self, lo, step):
+        counter = _mixed_counter()
+        # the count is defined off the lattice values of |xi|^2, 0 among them
+        assume(np.all(counter.pm != lo) and np.all(counter.pm != lo + step))
+        assert counter.count(lo) <= counter.count(lo + step)
+
+    def test_xi_vanishes_for_zero_potential(self, g3_well):
+        counter = EigenvalueCounter(zero_potential(g3_well), 1)
+        assert counter.nodes == 0 and counter.warning is None
+        assert [counter.xi(lam) for lam in np.linspace(-2.0, 3.0, 11)] == \
+            [0] * 11
+
+    def test_lattice_value_refused(self, g3_well):
+        counter = EigenvalueCounter(well_potential(g3_well, depth=-8.0), 1)
+        with pytest.raises(ValueError, match="lattice value"):
+            counter.count(float(pm_values(g3_well, 1).flat[1]))
+
+
+@functools.lru_cache(maxsize=1)
+def _mixed_counter():
+    return EigenvalueCounter(core_shell_potential(GridSpec(2, 6.0, 32)), 1)
+
+
 class TestEigenScan:
     def test_zero_potential(self, g3_well):
         res = eigen_scan(zero_potential(g3_well), 1, (-8.0, -0.5), steps=20)
         assert res.candidates == [] and res.support_nodes == 0
-        assert np.all(res.sigma_min == 1.0)
+        pm = pm_values(g3_well, 1)
+        assert res.counts.tolist() == [np.count_nonzero(pm < lam)
+                                       for lam in res.lambdas]
+
+    def test_zero_potential_finds_lattice_values(self, g3_well):
+        # H = P_m: the candidates are the lattice values of |xi|^2 in the
+        # interval, each with its multiplicity
+        res = eigen_scan(zero_potential(g3_well), 1, (0.5, 2.0), steps=31)
+        pm = pm_values(g3_well, 1).ravel()
+        # |xi|^2 = k (pi/L)^2 with k a sum of d squares
+        k = np.round(pm / g3_well.freq_step**2)
+        ks, mult = np.unique(k[(pm > 0.5) & (pm < 2.0)], return_counts=True)
+        assert [m for _, m in res.candidates] == mult.tolist()
+        found = np.array([lam for lam, _ in res.candidates])
+        assert np.max(np.abs(found - ks * g3_well.freq_step**2)) <= 2e-12
+        assert res.counts.tolist() == [np.count_nonzero(pm < lam)
+                                       for lam in res.lambdas]
 
     def test_interval_validation(self, g3_well):
         V = well_potential(g3_well)
@@ -230,19 +350,30 @@ class TestEigenScan:
     def test_well_ground_state_matches_lanczos(self, g3_well):
         V = well_potential(g3_well, depth=-8.0)
         res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
-        assert res.candidates
-        found = min(lam for lam, _ in res.candidates)
-        oracle = direct_eigs(1, V, k=3)[0]
-        assert abs(found - oracle) / abs(oracle) < 0.01
+        oracle = direct_eigs(1, V, k=3)
+        assert res.candidates == [(pytest.approx(oracle[0], rel=1e-10), 1)]
+        assert oracle[1] > -0.5
 
-    def test_probe_halving_stability(self, g3_well):
+    def test_d2_well_matches_lanczos_with_multiplicity(self, g2):
+        V = well_potential(g2, depth=-8.0)
+        res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
+        oracle = direct_eigs(1, V, k=6)
+        inside = oracle[oracle <= -0.5]
+        assert [m for _, m in res.candidates] == [1, 2]
+        assert sum(m for _, m in res.candidates) == len(inside)
+        for lam, _ in res.candidates:
+            assert np.min(np.abs(inside - lam) / abs(lam)) <= 1e-10
+        # every point counted is kept, and the last count is N_H(b)
+        assert np.all(np.diff(res.lambdas) > 0)
+        assert res.counts[-1] == len(inside)
+
+    def test_candidates_independent_of_steps(self, g3_well):
         V = well_potential(g3_well, depth=-8.0)
-        a = eigen_scan(V, 1, (-8.0, -0.5), eps_probe=1e-3, steps=151)
-        b = eigen_scan(V, 1, (-8.0, -0.5), eps_probe=5e-4, steps=151)
-        la = min(lam for lam, _ in a.candidates)
-        lb = min(lam for lam, _ in b.candidates)
-        step = 7.5 / 150
-        assert abs(la - lb) <= step + 1e-12
+        a = eigen_scan(V, 1, (-8.0, -0.5), steps=31)
+        b = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
+        assert [m for _, m in a.candidates] == [m for _, m in b.candidates]
+        for (la, _), (lb, _) in zip(a.candidates, b.candidates):
+            assert abs(la - lb) <= 1e-12 * abs(lb)
 
     def test_sign_symmetry_below_spectrum(self, g3_well):
         # the scan at lambda + i eps and lambda - i eps sees the same real
