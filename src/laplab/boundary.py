@@ -21,16 +21,20 @@ sum h^{2d} sum_y C(y) sigmahat(rho |y|) of the correlation C = f (star) conj g,
 sigmahat the transform of the unit sphere's surface measure, and is tabulated
 as a Chebyshev series.  The table depends only on the grid, f and g, so the
 pairings take it from a memo keyed on the content of both fields and share it
-across lambda, sign, m and the two backends.
+across lambda, sign, m and the two pairing backends.
 
-The epsilon-limit backend integrates the same radial integrand with the
+The epsilon-limit pairing integrates the same radial integrand with the
 resolved Lorentzian denominator and Richardson-extrapolates over a geometric
-epsilon sequence.
+epsilon sequence.  Every radial quadrature, the kernel's included, doubles
+its node count in ``_refine`` and reports whether it converged.
 
-The full-field operator adds to the lattice principal-value multiplier the
-surface field, the Stein-Tomas extension of the sphere trace.  The transform
-being a trigonometric polynomial, that field is exactly the lattice
-convolution h^d sum_y f(y) sigmahat(r |x - y|): one zero-padded FFT pair.
+The full-field operator is the lattice principal-value multiplier
+1/(P_m - lambda) plus the surface field, the Stein-Tomas extension of the
+sphere trace.  The transform being a trigonometric polynomial, that field is
+exactly the lattice convolution h^d sum_y f(y) sigmahat(r |x - y|): one
+zero-padded FFT pair.  The field has no epsilon backend: on the periodic
+lattice the epsilon -> 0 limit of (P_m - lambda -+ i eps)^{-1} is the
+principal-value multiplier alone, without the surface term.
 
 The oscillatory kernel of the singular part near the north pole,
 
@@ -56,7 +60,7 @@ from numpy.polynomial.chebyshev import chebinterpolate
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .lattice import Field, PHYSICAL, forward_transform, inverse_transform
+from .lattice import Field, PHYSICAL
 from .multiplier import _smooth_ramp, apply_values, pm_values
 
 __all__ = [
@@ -72,6 +76,20 @@ __all__ = [
     "kernel_k_plus",
     "decay_scan",
 ]
+
+#: radial half-width of the principal-value window, as a fraction of r
+PV_WINDOW_FRAC = 0.25
+#: the geometric sequence eps_0 2^{-k} of the epsilon-limit pairing
+EPS_SEQUENCE = 0.1 * 0.5 ** np.arange(6)
+EPS_SEQUENCE.flags.writeable = False
+#: agreement of two successive node doublings in every pairing quadrature
+REL_TOL = 1e-7
+#: the pairing quadratures double their nodes from 16 up to 256
+PAIR_START, PAIR_MAX_NODES = 16, 128
+#: the kernel taper is 1 for |xi'|/r <= S0 and 0 beyond S1
+S0, S1 = 0.5, 0.8
+#: node count past which kernel refinement stops and flags the sample
+NODE_BUDGET = 6000
 
 
 def _sphere_ft(d: int, s: np.ndarray) -> np.ndarray:
@@ -149,19 +167,11 @@ class BoundarySpec:
     lam: float
     sign: int = +1
     m: int = 1
-    backend: str = "plemelj"
     delta: float = 0.5
-    pv_window_frac: float = 0.25    # radial half-width of the p.v. window, as a fraction of r
-    eps_start: float = 0.1
-    eps_count: int = 6
-    rel_tol: float = 1e-7
-    cross_tol: float = 1e-3         # plemelj vs epsilon-limit field cross-check
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.backend not in ("plemelj", "epsilon_limit"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
         if not self.delta <= self.lam <= 1.0 / self.delta:
@@ -172,9 +182,6 @@ class BoundarySpec:
     @property
     def r(self) -> float:
         return self.lam ** (1.0 / (2 * self.m))
-
-    def eps_sequence(self) -> np.ndarray:
-        return self.eps_start * 0.5 ** np.arange(self.eps_count)
 
 
 class _RadialReduction:
@@ -283,7 +290,7 @@ def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
                n_nodes: int) -> complex:
     """p.v. integral of F(rho)/(rho - r) over (0, rho_max), Fr = F(r)."""
     r = spec.r
-    w = min(spec.pv_window_frac * r, 0.45 * (red.rho_max - r), 0.45 * r)
+    w = min(PV_WINDOW_FRAC * r, 0.45 * (red.rho_max - r), 0.45 * r)
 
     # symmetric window: integrand (F - F(r))/(rho - r) is Hoelder
     x, wx = _panel_nodes(r - w, r + w, 2 * n_nodes)
@@ -300,25 +307,28 @@ def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
 
 
 def _refine(fn: Callable[[int], complex], start: int, rel_tol: float,
-            max_doublings: int = 4) -> tuple[complex, bool]:
-    """Doubles the node count until two values agree to rel_tol; returns the
-    last value and whether they did."""
-    prev = fn(start)
-    n = start
-    for _ in range(max_doublings):
+            max_nodes: int) -> tuple[complex, float, bool]:
+    """Doubles the node count from ``start`` until two successive values agree
+    to rel_tol relative, or until it passes max_nodes; returns the last value,
+    its distance from the one before, and whether they agreed."""
+    n, prev = start, fn(start)
+    while True:
         n *= 2
         cur = fn(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur, True
+        err = abs(cur - prev)
+        if err <= rel_tol * max(abs(cur), 1e-300):
+            return cur, err, True
+        if n > max_nodes:
+            return cur, err, False
         prev = cur
-    return prev, False
 
 
 def boundary_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
     """< R_0^m(lambda + i 0 sign) f, g > via the surface + principal-value split."""
     red = _reduction(f, g)
     Fr = complex(red.F(np.array([spec.r]), spec)[0])
-    pv, ok = _refine(lambda n: _pv_radial(red, spec, Fr, n), 16, spec.rel_tol)
+    pv, _, ok = _refine(lambda n: _pv_radial(red, spec, Fr, n), PAIR_START,
+                        REL_TOL, PAIR_MAX_NODES)
     if not ok:
         raise ArithmeticError(
             f"principal-value quadrature unconverged at lambda = {spec.lam}")
@@ -344,8 +354,8 @@ def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
 
 def _eps_pairing(red: _RadialReduction, spec: BoundarySpec,
                  eps: float) -> complex:
-    val, ok = _refine(lambda n: _eps_quadrature(red, spec, eps, n), 16,
-                      spec.rel_tol)
+    val, _, ok = _refine(lambda n: _eps_quadrature(red, spec, eps, n),
+                         PAIR_START, REL_TOL, PAIR_MAX_NODES)
     if not ok:
         raise ArithmeticError(
             f"radial quadrature unconverged at lambda = {spec.lam}, "
@@ -378,7 +388,7 @@ def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
 
 def epsilon_limit_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
     red = _reduction(f, g)
-    vals = [_eps_pairing(red, spec, e) for e in spec.eps_sequence()]
+    vals = [_eps_pairing(red, spec, e) for e in EPS_SEQUENCE]
     limit, diverged = richardson_limit(vals)
     if diverged:
         raise ArithmeticError("epsilon extrapolation of the pairing diverged")
@@ -402,7 +412,8 @@ class BoundaryField:
 
     ``pv_part`` is the lattice principal-value multiplier image, ``surface_part``
     the sphere-extension (delta term) sampled on the physical lattice; ``total``
-    is their sum.  ``diagnostics`` records backend cross-checks.
+    is their sum.  ``diagnostics`` records the distance of lambda from the
+    lattice values of P_m.
     """
 
     spec: BoundarySpec
@@ -448,13 +459,8 @@ def _surface_extension(f: Field, spec: BoundarySpec) -> Field:
 
 
 def boundary_apply(f: Field, spec: BoundarySpec) -> BoundaryField:
-    """u = R_0^m(lambda +- i0) f on the lattice.
-
-    plemelj backend: lattice principal-value multiplier plus the sphere
-    extension.  epsilon_limit backend: Richardson extrapolation of the lattice
-    resolvent multiplier (radially limited by the lattice step; its agreement
-    with plemelj is reported in the diagnostics, not asserted).
-    """
+    """u = R_0^m(lambda +- i0) f on the lattice: the principal-value
+    multiplier 1/(P_m - lambda) plus the sphere extension."""
     if f.domain_tag != PHYSICAL:
         raise ValueError("boundary_apply expects a physical field")
     grid = f.grid
@@ -466,47 +472,24 @@ def boundary_apply(f: Field, spec: BoundarySpec) -> BoundaryField:
         )
     # first, so that its (2n)^d buffer is the only large array alive
     surf = _surface_extension(f, spec)
-    F = forward_transform(f)
-    pv = inverse_transform(F.with_values(F.values / (pm - spec.lam)))
+    pv = apply_values(1.0 / (pm - spec.lam), f)
     total = f.with_values(pv.values + surf.values)
-
-    diagnostics = {"lattice_gap": float(gap)}
-    if spec.backend == "epsilon_limit":
-        eps = spec.eps_sequence()
-        stack = [
-            inverse_transform(
-                F.with_values(F.values / (pm - (spec.lam + 1j * spec.sign * e)))
-            ).values
-            for e in eps
-        ]
-        limit, diverged = richardson_limit(stack)
-        eps_field = f.with_values(limit)
-        scale = np.sqrt(np.sum(np.abs(total.values) ** 2))
-        diff = np.sqrt(np.sum(np.abs(eps_field.values - total.values) ** 2))
-        rel = float(diff / max(scale, 1e-300))
-        diagnostics["backend_disagreement"] = rel
-        diagnostics["backend_flag"] = rel > spec.cross_tol or diverged
-        if diagnostics["backend_flag"]:
-            # disagreement above tolerance or a diverged extrapolation:
-            # surface both results
-            diagnostics["epsilon_field"] = eps_field
-    return BoundaryField(spec, f, pv, surf, total, diagnostics)
+    return BoundaryField(spec, f, pv, surf, total, {"lattice_gap": float(gap)})
 
 
 # ---------------------------------------------------------------------------
 # graph weight and oscillatory kernel
 # ---------------------------------------------------------------------------
 
-def _patch_profile(s: np.ndarray, s0: float = 0.5, s1: float = 0.8) -> np.ndarray:
-    """Smooth angular taper: 1 for |xi'|/r <= s0, 0 beyond s1.  The radial shell
+def _patch_profile(s: np.ndarray) -> np.ndarray:
+    """Smooth angular taper: 1 for |xi'|/r <= S0, 0 beyond S1.  The radial shell
     cutoff is identically 1 on the graph, so this north-pole patch is what gives
     the kernel weight compact support."""
-    u = (s1 - np.asarray(s, dtype=float)) / (s1 - s0)
+    u = (S1 - np.asarray(s, dtype=float)) / (S1 - S0)
     return _smooth_ramp(u)
 
 
-def graph_and_weight(lam: float, m: int, xi_prime: np.ndarray,
-                     s0: float = 0.5, s1: float = 0.8):
+def graph_and_weight(lam: float, m: int, xi_prime: np.ndarray):
     """Graph height phi(xi') = sqrt(r^2 - |xi'|^2) and the kernel weight
     Q(xi') = patch(|xi'|/r) / (2m |xi|^{2m-2} phi); on the graph |xi| = r."""
     xi_prime = np.atleast_2d(np.asarray(xi_prime, dtype=float))
@@ -515,7 +498,7 @@ def graph_and_weight(lam: float, m: int, xi_prime: np.ndarray,
     if np.any(s >= r):
         raise ValueError("graph exists only for |xi'| < r")
     phi = np.sqrt(r**2 - s**2)
-    q = _patch_profile(s / r, s0, s1) / (2.0 * m * r ** (2 * m - 2) * phi)
+    q = _patch_profile(s / r) / (2.0 * m * r ** (2 * m - 2) * phi)
     if phi.size == 1:
         return float(phi[0]), float(q[0])
     return phi, q
@@ -529,22 +512,23 @@ class KernelSample:
     flagged: bool = False
 
 
-def _kernel_quad(lam: float, m: int, d: int, x: np.ndarray, n_rad: int,
-                 s0: float, s1: float) -> complex:
-    """K(x) by n_rad Gauss-Legendre nodes in rho = |xi'| on (0, s1 r); the
+def _kernel_quad(lam: float, m: int, d: int, x: np.ndarray,
+                 n_rad: int) -> complex:
+    """K(x) by n_rad Gauss-Legendre nodes in rho = |xi'| on (0, S1 r); the
     angular integral over xi' is sigmahat_{d-1}(rho |x'|)."""
     r = lam ** (1.0 / (2 * m))
-    rho, w = _panel_nodes(0.0, s1 * r, n_rad)
-    phi, q = graph_and_weight(lam, m, rho[:, None], s0, s1)
+    rho, w = _panel_nodes(0.0, S1 * r, n_rad)
+    phi, q = graph_and_weight(lam, m, rho[:, None])
     ang = _sphere_ft(d - 1, rho * np.linalg.norm(x[:-1]))
     vals = w * rho ** (d - 2) * q * np.exp(1j * x[-1] * phi) * ang
     return complex(np.sum(vals) * 1j / (2.0 * np.pi) ** (d - 1))
 
 
 def kernel_k_plus(lam: float, m: int, d: int, x: Sequence[float],
-                  tol: float = 1e-8, s0: float = 0.5, s1: float = 0.8,
-                  node_budget: int = 6000) -> KernelSample:
-    """One sample of the outgoing kernel; exactly 0 for x_d < 0 (Heaviside)."""
+                  tol: float = 1e-8) -> KernelSample:
+    """One sample of the outgoing kernel; exactly 0 for x_d < 0 (Heaviside).
+    Flagged when node doubling passes NODE_BUDGET before two successive
+    values agree to tol."""
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"x must have {d} components")
@@ -552,16 +536,9 @@ def kernel_k_plus(lam: float, m: int, d: int, x: Sequence[float],
         return KernelSample(x, 0.0 + 0.0j, 0.0)
     r = lam ** (1.0 / (2 * m))
     n = max(48, int(4 * r * (abs(x[-1]) + np.linalg.norm(x[:-1]))))
-    prev = _kernel_quad(lam, m, d, x, n, s0, s1)
-    while True:
-        n2 = 2 * n
-        cur = _kernel_quad(lam, m, d, x, n2, s0, s1)
-        err = abs(cur - prev)
-        if err <= tol * max(abs(cur), 1e-12):
-            return KernelSample(x, cur, err)
-        if n2 > node_budget:
-            return KernelSample(x, cur, err, flagged=True)
-        n, prev = n2, cur
+    value, err, ok = _refine(lambda k: _kernel_quad(lam, m, d, x, k), n, tol,
+                             NODE_BUDGET)
+    return KernelSample(x, value, err, flagged=not ok)
 
 
 @dataclass(frozen=True)

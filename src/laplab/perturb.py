@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import ldl
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.sparse.linalg import LinearOperator, eigsh, lgmres
 
 from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
@@ -218,8 +218,12 @@ class BsSolve:
     near_singular: bool = False
 
 
-def bs_solve(z: complex, m: int, V: Potential, f: Field, tol: float = 1e-10,
-             maxiter: int = 400) -> BsSolve:
+#: lgmres outer iterations allowed to one Birman-Schwinger solve
+BS_MAXITER = 400
+
+
+def bs_solve(z: complex, m: int, V: Potential, f: Field,
+             tol: float = 1e-10) -> BsSolve:
     """Solve (Id + R_0(z) V) u = R_0(z) f; the perturbed resolvent applied to f.
 
     The only operator primitive is application of R_0(z) V to a field; the
@@ -245,7 +249,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field, tol: float = 1e-10,
     def cb(_):
         counter["n"] += 1
 
-    sol, info = lgmres(op, rhs, rtol=tol, atol=0.0, maxiter=maxiter,
+    sol, info = lgmres(op, rhs, rtol=tol, atol=0.0, maxiter=BS_MAXITER,
                        callback=cb)
     u = Field(grid, sol.reshape(shape), PHYSICAL)
     resid = float(np.linalg.norm(matvec(sol) - rhs)
@@ -312,9 +316,10 @@ class EigenvalueCounter:
         xi(lambda) = n_-(-D^{-1} - G(lambda)) - #{V > 0}.
 
     For real lambda off the lattice values of P_m, G(lambda) is real symmetric,
-    and n_- is read off the pivots of a Bunch-Kaufman LDL^T factorisation
-    (Sylvester's law of inertia).  Per lambda this costs one FFT (the
-    resolvent kernel on all offsets) plus one |S| x |S| factorisation.
+    and n_- is read off the pivots of a Bunch-Kaufman LDL^T factorisation,
+    LAPACK's dsytrf (Sylvester's law of inertia).  Per lambda this costs one
+    FFT (the resolvent kernel on all offsets) plus one |S| x |S|
+    factorisation.
     """
 
     def __init__(self, V: Potential, m: int, max_nodes: int = 1500):
@@ -335,10 +340,14 @@ class EigenvalueCounter:
         self.positive = int(np.count_nonzero(v_at > 0))
         n = grid.points_per_axis
         coords = np.unravel_index(idx, grid.shape)
-        # flat index of the centred offset x_j - x_k in the kernel array
+        # flat index of the centred offset x_j - x_k in the kernel array, at
+        # [k, j]: the gathered matrix transposed is in Fortran order, which
+        # dsytrf factors in place
         self.gather = np.ravel_multi_index(
-            tuple((c[:, None] - c[None, :] + n // 2) % n for c in coords),
+            tuple((c[None, :] - c[:, None] + n // 2) % n for c in coords),
             grid.shape)
+        # the optimal workspace: dsytrf's default one is unblocked and slow
+        self.lwork = int(dsytrf_lwork(max(self.nodes, 1), lower=1)[0])
 
     def xi(self, lam: float) -> int:
         """n_-(-D^{-1} - G(lambda)) - #{V > 0}; raises ValueError at a
@@ -349,24 +358,30 @@ class EigenvalueCounter:
         if not np.all(gap):
             raise ValueError(f"lambda = {lam} is a lattice value of P_m")
         kernel = inverse_transform(Field(self.grid, 1.0 / gap, SPECTRAL))
-        a = np.take(kernel.values.real, self.gather)
+        a = np.take(kernel.values.real, self.gather).T
         a *= -self.grid.cell_volume
-        a.flat[::self.nodes + 1] += self.inv_v
-        _, d, _ = ldl(a, overwrite_a=True, check_finite=False)
-        return _negative_inertia(d) - self.positive
+        a[np.diag_indices(self.nodes)] += self.inv_v
+        ldu, ipiv, _ = dsytrf(a, lower=1, lwork=self.lwork, overwrite_a=1)
+        return _negative_inertia(ldu, ipiv) - self.positive
 
     def count(self, lam: float) -> int:
         return int(np.count_nonzero(self.pm < lam)) + self.xi(lam)
 
 
-def _negative_inertia(d: np.ndarray) -> int:
-    """Number of negative eigenvalues of the block diagonal LDL^T factor:
-    1x1 pivots count by sign, each 2x2 pivot by its two eigenvalues."""
-    diag, sub = np.diagonal(d), np.diagonal(d, -1)
-    first = np.flatnonzero(sub)            # leading rows of the 2x2 pivots
+def _negative_inertia(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Number of negative eigenvalues of the block diagonal D of a lower
+    dsytrf factorisation: 1x1 pivots count by sign, each 2x2 pivot by its two
+    eigenvalues.  A 2x2 pivot is a pair of negative ipiv entries; a run of
+    them pairs up from its start."""
+    diag = np.diagonal(ldu)
+    k = np.arange(len(ipiv))
+    neg = ipiv < 0
+    run_start = np.maximum.accumulate(np.where(neg & ~np.r_[False, neg[:-1]],
+                                               k, 0))
+    first = np.flatnonzero(neg & ((k - run_start) % 2 == 0))
     single = np.ones(len(diag), dtype=bool)
     single[first] = single[first + 1] = False
-    a, b, c = diag[first], sub[first], diag[first + 1]
+    a, b, c = diag[first], ldu[first + 1, first], diag[first + 1]
     mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     return int(np.count_nonzero(diag[single] < 0)
                + np.count_nonzero(mean - radius < 0)
@@ -383,15 +398,15 @@ class EigenScanResult:
 
 
 def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
-               steps: int = 120, max_support_nodes: int = 1500,
-               sign: int = +1) -> EigenScanResult:
+               steps: int = 120,
+               max_support_nodes: int = 1500) -> EigenScanResult:
     """Every eigenvalue of H = P_m(D) + V in [a, b], with its multiplicity.
 
     Counts #{eig H < lambda} exactly on a ``steps``-point grid, then bisects
     each grid cell where the count jumps until its bracket is narrower than
     ``BISECTION_WIDTH * max(1, |lambda|)``; eigenvalues closer than that are
-    one candidate.  ``sign`` is kept for callers that probe lambda +- i0:
-    a count at real lambda does not depend on it.
+    one candidate.  The count is taken at real lambda, so the scan has no
+    side lambda +- i0 to choose.
     """
     a, b = interval
     if a >= b:

@@ -12,7 +12,7 @@ frequency splittings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,10 +77,9 @@ def mu_weight(t, w: WeightParams):
     return out if out.ndim else float(out)
 
 
-def mu_weight_field(grid: GridSpec, w: WeightParams, inverse: bool = False) -> np.ndarray:
-    """The radial weight mu(|x|) (or its reciprocal) on the physical lattice."""
-    vals = mu_weight(grid.radius_grid(), w)
-    return 1.0 / vals if inverse else vals
+def mu_weight_field(grid: GridSpec, w: WeightParams) -> np.ndarray:
+    """The radial weight mu(|x|) on the physical lattice."""
+    return mu_weight(grid.radius_grid(), w)
 
 
 class DyadicShells:
@@ -176,15 +175,18 @@ def lp_norm(f: Field, p: float) -> float:
     return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
+#: the sum-space upper bound splits f at the sphere |xi|^{2m} = SPLIT_LAMBDA,
+#: with Gaussian bumps of these relative widths
+SPLIT_LAMBDA = 1.0
+SPLIT_WIDTHS = (0.25, 0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class CompositeNormConfig:
-    """Parameters of the composite scales: order m, dimension d, and the
-    frequency-splitting search used by the sum-space upper bound."""
+    """Parameters of the composite scales: order m and dimension d."""
 
     m: int
     d: int
-    lambda_ref: float = 1.0
-    split_widths: Sequence[float] = (0.25, 0.5, 1.0)
 
     def __post_init__(self):
         if self.m < 1:
@@ -235,7 +237,7 @@ def x_norm_upper(
     With a witness f = f1 + f2, returns the witnessed value.  Without one,
     minimizes over the two trivial splittings and a one-parameter family of
     smooth frequency splittings concentrated near the sphere |xi|^{2m} =
-    lambda_ref.  Always an upper bound for the true infimum.
+    SPLIT_LAMBDA.  Always an upper bound for the true infimum.
     """
     _require_physical(f)
     if witness is not None:
@@ -250,8 +252,8 @@ def x_norm_upper(
     best = min(_lorentz_part(f, cfg), _b_part(f, cfg))
 
     pm = pm_values(f.grid, cfg.m)
-    lam = cfg.lambda_ref
-    for w in cfg.split_widths:
+    lam = SPLIT_LAMBDA
+    for w in SPLIT_WIDTHS:
         bump = np.exp(-((pm - lam) / (w * lam)) ** 2)
         f2 = apply_values(bump, f)
         f1 = f.with_values(f.values - f2.values)

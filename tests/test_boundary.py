@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from laplab import boundary
 from laplab.boundary import (
+    EPS_SEQUENCE,
     BoundarySpec,
     boundary_apply,
     boundary_pairing,
@@ -28,7 +30,8 @@ from laplab.boundary import (
     _RadialReduction,
 )
 from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
-                            forward_transform, nudft_forward)
+                            forward_transform, inverse_transform,
+                            nudft_forward)
 from laplab.multiplier import pm_values
 from laplab.spaces import b_norm, bstar_norm
 
@@ -63,10 +66,6 @@ class TestBoundarySpec:
         with pytest.raises(ValueError, match="sign"):
             BoundarySpec(lam=1.0, sign=2)
 
-    def test_backend_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            BoundarySpec(lam=1.0, backend="exact")
-
     def test_delta_validation(self):
         with pytest.raises(ValueError, match="delta"):
             BoundarySpec(lam=1.0, delta=0.0)
@@ -79,9 +78,9 @@ class TestBoundarySpec:
     def test_r_and_eps_sequence(self):
         spec = BoundarySpec(lam=16.0, m=2, delta=1.0 / 16.0)
         assert spec.r == pytest.approx(2.0)
-        eps = spec.eps_sequence()
-        assert len(eps) == spec.eps_count
-        assert np.allclose(eps[1:] / eps[:-1], 0.5)
+        # richardson_limit's default ratio, and enough values for order 2
+        assert len(EPS_SEQUENCE) >= 3
+        assert np.allclose(EPS_SEQUENCE[1:] / EPS_SEQUENCE[:-1], 0.5)
 
 
 class TestGraphAndWeight:
@@ -344,9 +343,10 @@ class TestRadialReduction:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
-    def test_unconverged_quadrature_raises(self, g2):
+    def test_unconverged_quadrature_raises(self, g2, monkeypatch):
         f = gaussian_field(g2, 1.0)
-        spec = BoundarySpec(lam=1.0, rel_tol=1e-30)
+        spec = BoundarySpec(lam=1.0)
+        monkeypatch.setattr(boundary, "REL_TOL", 1e-30)
         with pytest.raises(ArithmeticError, match="unconverged"):
             boundary_pairing(f, f, spec)
         with pytest.raises(ArithmeticError, match="unconverged"):
@@ -382,7 +382,7 @@ class TestRichardson:
     def test_epsilon_pairing_monotone_refinement(self, gauss10):
         spec = BoundarySpec(lam=1.0, sign=+1, m=1)
         vals = [epsilon_pairing(gauss10, gauss10, spec, e)
-                for e in spec.eps_sequence()]
+                for e in EPS_SEQUENCE]
         limit, diverged = richardson_limit(vals)
         assert not diverged
         P = boundary_pairing(gauss10, gauss10, spec)
@@ -466,11 +466,22 @@ class TestBoundaryApply:
         assert max(ratios) < 1.0
         assert max(ratios) / min(ratios) < 3.0
 
-    def test_epsilon_backend_diagnostics(self, gauss2):
-        bf = boundary_apply(gauss2, BoundarySpec(lam=1.0, sign=+1, m=1,
-                                                 backend="epsilon_limit"))
-        assert "backend_disagreement" in bf.diagnostics
-        assert bf.diagnostics["lattice_gap"] > 0
+    @pytest.mark.parametrize("grid", ["g2", "g3"])
+    @pytest.mark.parametrize("lam, m", [(0.5, 1), (2.0, 1), (1.5, 2)])
+    def test_pv_part_transform_oracle(self, request, grid, lam, m):
+        # the principal-value part against the explicit forward transform,
+        # division by the lattice symbol and inverse transform
+        grid = request.getfixturevalue(grid)
+        f, g = offset_and_modulated(grid)
+        f = f.with_values(f.values + g.values)
+        bf = boundary_apply(f, BoundarySpec(lam=lam, m=m))
+        F = forward_transform(f)
+        oracle = inverse_transform(
+            F.with_values(F.values / (pm_values(grid, m) - lam))).values
+        err = np.max(np.abs(bf.pv_part.values - oracle))
+        assert err <= 1e-14 * np.max(np.abs(oracle))
+        assert bf.diagnostics == {"lattice_gap": pytest.approx(
+            np.min(np.abs(pm_values(grid, m) - lam)))}
 
     def test_spectral_field_rejected(self, gauss2):
         with pytest.raises(ValueError, match="physical"):
@@ -539,6 +550,13 @@ class TestKernel:
         a = kernel_k_plus(1.0, 1, d, np.append(xp, height), tol=1e-12)
         b = kernel_k_plus(1.0, 1, d, np.append(rot @ xp, height), tol=1e-12)
         assert abs(b.value - a.value) <= 1e-10 * abs(a.value)
+
+    def test_budget_exhausted_is_flagged(self):
+        # no two doublings agree to 1e-30, so refinement runs past the node
+        # budget and hands back its last value, flagged
+        s = kernel_k_plus(1.0, 1, 2, [3.0, 2.0], tol=1e-30)
+        assert s.flagged
+        assert np.isfinite(s.value) and s.error_estimate > 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="components"):

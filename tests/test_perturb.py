@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from laplab.lattice import Field, GridSpec, PHYSICAL
@@ -23,6 +24,7 @@ from laplab.perturb import (
     example_potential,
     lap_perturbed_sweep,
     radial_average,
+    _negative_inertia,
 )
 from laplab.spaces import CompositeNormConfig, xstar_norm, x_norm_upper
 from laplab.family import FamilySpec, standard_family
@@ -301,6 +303,19 @@ class TestInertiaCount:
         assume(np.all(counter.pm != lo) and np.all(counter.pm != lo + step))
         assert counter.count(lo) <= counter.count(lo + step)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pivot_blocks_match_eigvalsh(self, seed):
+        # a zero diagonal forces runs of 2x2 Bunch-Kaufman pivots
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((120, 120))
+        a += a.T
+        a[np.diag_indices(120)] = 0.0
+        ldu, ipiv, info = dsytrf(np.asfortranarray(a), lower=1)
+        runs = np.diff(np.flatnonzero(np.diff(np.r_[0, ipiv < 0, 0])))[::2]
+        assert info == 0 and np.any(runs >= 4)
+        assert _negative_inertia(ldu, ipiv) == \
+            np.count_nonzero(np.linalg.eigvalsh(a) < 0)
+
     def test_xi_vanishes_for_zero_potential(self, g3_well):
         counter = EigenvalueCounter(zero_potential(g3_well), 1)
         assert counter.nodes == 0 and counter.warning is None
@@ -374,15 +389,6 @@ class TestEigenScan:
         assert [m for _, m in a.candidates] == [m for _, m in b.candidates]
         for (la, _), (lb, _) in zip(a.candidates, b.candidates):
             assert abs(la - lb) <= 1e-12 * abs(lb)
-
-    def test_sign_symmetry_below_spectrum(self, g3_well):
-        # the scan at lambda + i eps and lambda - i eps sees the same real
-        # eigenvalues
-        V = well_potential(g3_well, depth=-8.0)
-        up = eigen_scan(V, 1, (-8.0, -0.5), sign=+1, steps=151)
-        dn = eigen_scan(V, 1, (-8.0, -0.5), sign=-1, steps=151)
-        assert [lam for lam, _ in up.candidates] == \
-            [lam for lam, _ in dn.candidates]
 
     def test_truncation_warning(self, g3_well):
         V = well_potential(g3_well, depth=-8.0, radius=1.5)

@@ -172,7 +172,7 @@ class TestComposite:
 
     def test_far_spectral_support_uses_lorentz_term(self, g2):
         # spectral support concentrated around |xi| = 4, far above the
-        # splitting spheres (lambda_ref = 1)
+        # splitting spheres (SPLIT_LAMBDA = 1)
         cfg = CompositeNormConfig(m=1, d=2)
         f = gaussian_field(g2, width=2.0, wavevector=(4.0, 0.0))
         zero = f.with_values(np.zeros_like(f.values))
