@@ -6,8 +6,7 @@ from .lattice import (Field, GridSpec, forward_transform, inverse_transform,
 from .spaces import (CompositeNormConfig, DyadicShells, LorentzExponents,
                      WeightParams, b_norm, bstar_norm, lorentz_norm, lp_norm,
                      mu_weight, stein_tomas_exponent, x_norm_upper, xstar_norm)
-from .multiplier import (CutoffSpec, Symbol, apply_symbol, chi_lambda,
-                         free_resolvent, pm_symbol, resolvent_symbol)
+from .multiplier import CutoffSpec, bessel_values, chi_values, free_resolvent
 from .boundary import (BoundarySpec, boundary_apply, boundary_pairing,
                        decay_scan, epsilon_limit_pairing, graph_and_weight,
                        kernel_k_plus, sphere_restriction_norm)
@@ -24,8 +23,7 @@ __all__ = [
     "CompositeNormConfig", "DyadicShells", "LorentzExponents", "WeightParams",
     "b_norm", "bstar_norm", "lorentz_norm", "lp_norm", "mu_weight",
     "stein_tomas_exponent", "x_norm_upper", "xstar_norm",
-    "CutoffSpec", "Symbol", "apply_symbol", "chi_lambda", "free_resolvent",
-    "pm_symbol", "resolvent_symbol",
+    "CutoffSpec", "bessel_values", "chi_values", "free_resolvent",
     "BoundarySpec", "boundary_apply", "boundary_pairing", "decay_scan",
     "epsilon_limit_pairing", "graph_and_weight", "kernel_k_plus",
     "sphere_restriction_norm",

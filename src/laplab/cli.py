@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,7 +37,6 @@ EXIT_CRITERIA = 3
 EXIT_HOLES = 4
 
 TABLE_SCHEMA = "laplab-table-v1"
-WORKERS_ENV = "LAPLAB_WORKERS"
 
 DEFAULTS = {
     # the box length keeps every default lambda at distance >= 0.067 from the
@@ -116,7 +114,7 @@ def load_config(path, overrides=(), seed=None) -> dict:
             raise ConfigError([f"--set {item!r}: expected path=value"])
         key, _, raw = item.partition("=")
         _apply_override(cfg, key, raw)
-    if seed is not None:
+    if seed is not None and isinstance(cfg.get("family"), dict):
         cfg["family"]["seed"] = int(seed)
     return cfg
 
@@ -235,14 +233,17 @@ def validate_config(cfg: dict) -> list:
     if pr is not None and int(pr) % 2:
         errors.append(
             f"potential_report.points_per_axis: must be even, got {pr}")
-    fam = cfg.get("family", {})
-    try:
-        FamilySpec(kinds=tuple(fam.get("kinds", ())),
-                   count=int(fam.get("count", 0)),
-                   seed=int(fam.get("seed", 0)),
-                   modulation_radius=float(fam.get("modulation_radius", 1.0)))
-    except (ValueError, TypeError) as e:
-        errors.append(f"family: {e}")
+    kinds = _lookup(cfg, "family.kinds", errors)
+    if kinds is not _MISSING and not isinstance(kinds, list):
+        errors.append(f"family.kinds: expected a list, got {kinds!r}")
+    fam = [_num(cfg, f"family.{key}", integer=key != "modulation_radius",
+                errors=errors)
+           for key in ("count", "seed", "modulation_radius")]
+    if isinstance(kinds, list) and None not in fam:
+        try:
+            _family_spec(cfg)
+        except ValueError as e:
+            errors.append(f"family.{e}")
     if not errors:
         try:
             _grid(cfg)
@@ -258,12 +259,15 @@ def _grid(cfg) -> GridSpec:
                     points_per_axis=int(g["points_per_axis"]))
 
 
-def _family(cfg, grid) -> list:
+def _family_spec(cfg) -> FamilySpec:
     fam = cfg["family"]
-    spec = FamilySpec(kinds=tuple(fam["kinds"]), count=int(fam["count"]),
+    return FamilySpec(kinds=tuple(fam["kinds"]), count=int(fam["count"]),
                       seed=int(fam["seed"]),
                       modulation_radius=float(fam["modulation_radius"]))
-    return standard_family(grid, spec)
+
+
+def _family(cfg, grid) -> list:
+    return standard_family(grid, _family_spec(cfg))
 
 
 def _potential(cfg, grid) -> Potential:
@@ -289,21 +293,14 @@ def _potential(cfg, grid) -> Potential:
                              J=int(pot.get("J", 16)), grid=grid)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+def _verdict(ok: bool, checked: int):
+    """A pass that judged nothing is null, not true; a failure stays false.
+    ``ok`` may be a NumPy bool, so it is made a Python bool here."""
+    return bool(ok) if checked or not ok else None
 
 
-def _ordered_map(fn, items):
-    """Map preserving input order regardless of completion order."""
-    w = _workers()
-    items = list(items)
-    if w == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
+def _exit_code(verdict) -> int:
+    return EXIT_CRITERIA if verdict is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +379,19 @@ def cmd_norms(cfg, out_dir) -> int:
                 xstar_norm(f, ncfg), x_norm_upper(f, ncfg),
                 ratio_b, ratio_bs]
 
-    rows = _ordered_map(one, fam)
+    rows = [one(item) for item in fam]
     header = ["label", "l2", f"lp_{pd:.6g}", "lorentz_pd_2", "b", "bstar",
               "xstar", "x_upper", "emb_ratio_b", "emb_ratio_bstar"]
     write_table(os.path.join(out_dir, "norms.csv"), "norms", header, rows)
     bound = np.sqrt(2.0) * (1.0 + cfg["tolerances"]["sqrt2_slack"])
     worst = max((max(r[-2], r[-1]) for r in rows), default=0.0)
-    ok = worst <= bound
+    ok = _verdict(worst <= bound, len(rows))
     write_summary(os.path.join(out_dir, "norms.json"), "norms", cfg,
                   {"fields": len(rows), "max_embedding_ratio": worst,
-                   "sqrt2_bound": float(bound), "embeddings_ok": ok},
+                   "sqrt2_bound": float(bound), "embeddings_ok": ok,
+                   "checked": len(rows)},
                   time.time() - t0)
-    return EXIT_OK if ok else EXIT_CRITERIA
+    return _exit_code(ok)
 
 
 def cmd_resolvent(cfg, out_dir) -> int:
@@ -423,7 +421,7 @@ def cmd_resolvent(cfg, out_dir) -> int:
         return [lam, label, val, ref, rel,
                 np.nan if np.isnan(val) else val.imag]
 
-    rows = _ordered_map(one, cells)
+    rows = [one(cell) for cell in cells]
     header = ["lambda", "label", "plemelj", "epsilon_limit", "rel_diff",
               "im_part"]
     write_table(os.path.join(out_dir, "resolvent.csv"), "resolvent", header,
@@ -463,17 +461,21 @@ def cmd_kernel(cfg, out_dir) -> int:
     # the decay rate is uniform along each ray; the amplitude varies with the
     # direction, so the band is checked per direction
     ok = not radii or bool(vals)
+    checked = 0
     for j in range(len(dirs)):
         dvals = [r[3] for r in rows if r[0] == j and not r[4]]
         dm = float(np.median(dvals)) if dvals else 0.0
         if dvals and dm > 0:
+            checked += len(dvals)
             ok = ok and max(dvals) <= band * dm and min(dvals) >= dm / band
+    ok = _verdict(ok, checked)
     write_summary(os.path.join(out_dir, "kernel.json"), "kernel", cfg,
                   {"samples": len(rows), "empirical_constant": scan.max_normalized,
                    "median_normalized": med, "band_factor": band,
-                   "band_ok": ok, "flagged": sum(r[4] for r in rows)},
+                   "band_ok": ok, "flagged": sum(r[4] for r in rows),
+                   "checked": checked},
                   time.time() - t0)
-    return EXIT_OK if ok else EXIT_CRITERIA
+    return _exit_code(ok)
 
 
 _MAX_TILT = np.deg2rad(30.0)
@@ -569,6 +571,8 @@ def cmd_spectrum(cfg, out_dir) -> int:
         all(r[3] <= gate for r in rows)
         and all(min((abs(c - e) / abs(e) for c in cands), default=np.inf)
                 <= gate for e in oracle))
+    checked = len(rows) + len(oracle) if judged else 0
+    ok = _verdict(ok, checked)
     header = ["candidate", "multiplicity", "probe_halving_shift",
               "oracle_rel"]
     write_table(os.path.join(out_dir, "spectrum.csv"), "spectrum", header,
@@ -576,9 +580,9 @@ def cmd_spectrum(cfg, out_dir) -> int:
     write_summary(os.path.join(out_dir, "spectrum.json"), "spectrum", cfg,
                   {"candidates": rows, "oracle": [float(e) for e in oracle],
                    "support_nodes": res.support_nodes, "grid_step": grid_step,
-                   "warning": res.warning, "ok": ok},
+                   "warning": res.warning, "ok": ok, "checked": checked},
                   time.time() - t0)
-    return EXIT_OK if ok else EXIT_CRITERIA
+    return _exit_code(ok)
 
 
 def cmd_potential(cfg, out_dir) -> int:

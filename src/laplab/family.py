@@ -27,13 +27,19 @@ class FamilySpec:
     modulation_radius: float = 1.0   # target |k|, usually r(lambda)
 
     def __post_init__(self):
+        # each message starts with the field it names
         bad = [k for k in self.kinds if k not in KNOWN_KINDS]
         if bad:
-            raise ValueError(f"unknown family kinds {bad}; known: {KNOWN_KINDS}")
+            raise ValueError(f"kinds: unknown {bad}; known: {KNOWN_KINDS}")
+        if not self.kinds:
+            raise ValueError("kinds: must not be empty")
         if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if self.modulation_radius <= 0:
-            raise ValueError("modulation_radius must be positive")
+            raise ValueError(f"count: must be >= 0, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if not self.modulation_radius > 0:
+            raise ValueError(f"modulation_radius: must be positive, "
+                             f"got {self.modulation_radius}")
 
 
 def _gaussian(grid: GridSpec, width: float, center, wavevector) -> np.ndarray:

@@ -1,6 +1,10 @@
-"""Fourier multiplier operators: the radial symbol |xi|^{2m}, Bessel potentials,
-smooth shell cutoffs around {|xi|^{2m} = lambda}, and the off-axis free
-resolvent (|xi|^{2m} - z)^{-1}.
+"""Fourier multiplier operators on the lattice: the radial symbol |xi|^{2m},
+Bessel potentials (1 + |xi|^2)^{alpha/2}, smooth shell cutoffs around
+{|xi|^{2m} = lambda}, and the off-axis free resolvent (|xi|^{2m} - z)^{-1}.
+
+Every multiplier is an array on the sorted frequency lattice (the ones that
+are reused are cached and read-only), and every multiply goes through
+``apply_values``.
 """
 
 from __future__ import annotations
@@ -8,61 +12,42 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .lattice import Field, GridSpec, PHYSICAL
 
 __all__ = [
-    "Symbol",
     "CutoffSpec",
-    "pm_symbol",
-    "bessel_symbol",
-    "resolvent_symbol",
-    "chi_lambda",
     "apply_values",
     "apply_symbol",
     "free_resolvent",
     "pm_values",
+    "bessel_values",
+    "chi_values",
     "shell_radial_resolution",
-    "require_shell_resolved",
 ]
 
 #: refuse resolvent evaluation closer than this (relative) to the lattice symbol values
 RESOLVENT_GUARD = 1e-8
+#: radial frequency steps a shell cutoff needs across its support
+SHELL_MIN_STEPS = 8
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A pointwise spectral multiplier.  ``fn`` maps the tuple of frequency
-    grids to complex values; ``name`` is for diagnostics only."""
-
-    fn: Callable
-    name: str = ""
-
-    def on_grid(self, grid: GridSpec) -> np.ndarray:
-        vals = np.asarray(self.fn(*grid.freq_grids()), dtype=np.complex128)
-        vals = np.broadcast_to(vals, grid.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"symbol {self.name!r} not finite on the lattice")
-        return vals
-
-
-def pm_symbol(m: int) -> Symbol:
-    return Symbol(lambda *xi: sum(x**2 for x in xi) ** m, name=f"|xi|^{2 * m}")
-
-
-def bessel_symbol(alpha: float) -> Symbol:
-    return Symbol(lambda *xi: (1.0 + sum(x**2 for x in xi)) ** (alpha / 2.0),
-                  name=f"S_{alpha}")
+def _read_only(vals: np.ndarray) -> np.ndarray:
+    vals.setflags(write=False)
+    return vals
 
 
 @functools.lru_cache(maxsize=4)
 def pm_values(grid: GridSpec, m: int) -> np.ndarray:
-    vals = sum(x**2 for x in grid.freq_grids()) ** m
-    vals.setflags(write=False)
-    return vals
+    return _read_only(sum(x**2 for x in grid.freq_grids()) ** m)
+
+
+@functools.lru_cache(maxsize=4)  # the four Bessel orders of one norm config
+def bessel_values(grid: GridSpec, alpha: float) -> np.ndarray:
+    """The Bessel potential symbol (1 + |xi|^2)^{alpha/2}."""
+    return _read_only((1.0 + pm_values(grid, 1)) ** (alpha / 2.0))
 
 
 def _smooth_ramp(u: np.ndarray) -> np.ndarray:
@@ -103,26 +88,19 @@ def shell_radial_resolution(grid: GridSpec, spec: CutoffSpec) -> float:
     return (r_hi - r_lo) / grid.freq_step
 
 
-def require_shell_resolved(grid: GridSpec, spec: CutoffSpec, min_steps: int = 8):
+def chi_values(grid: GridSpec, spec: CutoffSpec) -> np.ndarray:
+    """The smooth shell cutoff on the lattice; refuses a grid whose radial
+    frequency step leaves fewer than SHELL_MIN_STEPS steps across the shell."""
     got = shell_radial_resolution(grid, spec)
-    if got < min_steps:
-        need = math.ceil(grid.points_per_axis * min_steps / max(got, 1e-12))
+    if got < SHELL_MIN_STEPS:
+        need = math.ceil(grid.points_per_axis * SHELL_MIN_STEPS
+                         / max(got, 1e-12))
         raise ValueError(
             f"shell at lambda={spec.lam} spans only {got:.1f} radial frequency "
-            f"steps (< {min_steps}); need roughly n >= {need} at this box size"
+            f"steps (< {SHELL_MIN_STEPS}); need roughly n >= {need} at this "
+            f"box size"
         )
-
-
-def chi_lambda(spec: CutoffSpec, grid: GridSpec | None = None) -> Symbol:
-    """The smooth shell cutoff as a Symbol; validates radial resolution when a
-    grid is supplied."""
-    if grid is not None:
-        require_shell_resolved(grid, spec)
-
-    def fn(*xi):
-        return spec.profile(sum(x**2 for x in xi) ** spec.m)
-
-    return Symbol(fn, name=f"chi_lambda({spec.lam}, m={spec.m})")
+    return spec.profile(pm_values(grid, spec.m))
 
 
 def apply_values(values: np.ndarray, f: Field) -> Field:
@@ -139,14 +117,11 @@ def apply_values(values: np.ndarray, f: Field) -> Field:
     return f.with_values(f.values * values)
 
 
-def apply_symbol(sym: Symbol, f: Field) -> Field:
-    """Pointwise spectral multiplication; output returned in the input's domain."""
-    return apply_values(sym.on_grid(f.grid), f)
-
-
-def resolvent_symbol(z: complex, m: int) -> Symbol:
-    return Symbol(lambda *xi: 1.0 / (sum(x**2 for x in xi) ** m - z),
-                  name=f"(|xi|^{2 * m} - {z})^-1")
+def apply_symbol(values: np.ndarray, f: Field) -> Field:
+    """``apply_values`` for the Bessel multiplies of the norms; its own
+    function so that a profiler can time them apart from every other
+    multiply."""
+    return apply_values(values, f)
 
 
 @functools.lru_cache(maxsize=1)  # all matvecs of one solve share z
@@ -155,13 +130,13 @@ def _resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
         raise ValueError(
             f"z = {z} lies on [0, inf); use the boundary-value machinery instead"
         )
-    pm = pm_values(grid, m)
-    gap = np.min(np.abs(pm - z))
+    denom = pm_values(grid, m) - z
+    gap = np.min(np.abs(denom))
     if not gap >= RESOLVENT_GUARD * (1.0 + abs(z)):
         raise ValueError(
             f"z = {z} is within {gap:.2e} of a lattice symbol value; refusing"
         )
-    return resolvent_symbol(z, m).on_grid(grid)
+    return _read_only(1.0 / denom)
 
 
 def free_resolvent(z: complex, m: int, f: Field) -> Field:

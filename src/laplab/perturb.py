@@ -215,7 +215,6 @@ class BsSolve:
     pde_residual: float      # relative residual of (P_m(D) + V - z) u = f
     iterations: int
     converged: bool
-    near_singular: bool = False
 
 
 #: lgmres outer iterations allowed to one Birman-Schwinger solve
@@ -256,7 +255,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
                   / max(np.linalg.norm(rhs), 1e-300))
     converged = info == 0 and resid <= max(tol * 10, 1e-12)
     return BsSolve(z, u, resid, _pde_residual(z, m, V, u, f),
-                   counter["n"], converged, near_singular=info != 0)
+                   counter["n"], converged)
 
 
 def _pde_residual(z, m, V, u, f) -> float:
@@ -275,14 +274,10 @@ def direct_eigs(m: int, V: Potential, k: int = 4) -> np.ndarray:
     subspace; the operator commutes with conjugation for real V)."""
     grid = V.grid
     shape = grid.shape
-    pm = pm_values(grid, m)
-    vvals = V.real_values()
 
     def matvec(w):
-        u = w.reshape(shape)
-        out = np.fft.fftn(np.fft.ifftshift(
-            pm * np.fft.fftshift(np.fft.ifftn(u))))
-        return (out.real + vvals * u).ravel()
+        u = Field(grid, w.reshape(shape), PHYSICAL)
+        return apply_hamiltonian(m, V, u).values.real.ravel()
 
     n_tot = int(np.prod(shape))
     op = LinearOperator((n_tot, n_tot), matvec=matvec, dtype=np.float64)

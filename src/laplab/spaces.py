@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import apply_symbol, apply_values, bessel_symbol, pm_values
+from .multiplier import apply_symbol, apply_values, bessel_values, pm_values
 
 __all__ = [
     "LorentzExponents",
@@ -211,20 +211,20 @@ def xstar_norm(u: Field, cfg: CompositeNormConfig) -> float:
     """
     _require_physical(u)
     pd, pdp = cfg.exponents
-    lor = lorentz_norm(apply_symbol(bessel_symbol(cfg.theta), u),
+    lor = lorentz_norm(apply_symbol(bessel_values(u.grid, cfg.theta), u),
                        LorentzExponents(pdp, 2.0))
-    bst = bstar_norm(apply_symbol(bessel_symbol(float(cfg.m)), u))
+    bst = bstar_norm(apply_symbol(bessel_values(u.grid, float(cfg.m)), u))
     return max(lor, bst)
 
 
 def _lorentz_part(f1: Field, cfg: CompositeNormConfig) -> float:
     pd, _ = cfg.exponents
-    return lorentz_norm(apply_symbol(bessel_symbol(-cfg.theta), f1),
+    return lorentz_norm(apply_symbol(bessel_values(f1.grid, -cfg.theta), f1),
                         LorentzExponents(pd, 2.0))
 
 
 def _b_part(f2: Field, cfg: CompositeNormConfig) -> float:
-    return b_norm(apply_symbol(bessel_symbol(-float(cfg.m)), f2))
+    return b_norm(apply_symbol(bessel_values(f2.grid, -float(cfg.m)), f2))
 
 
 def x_norm_upper(

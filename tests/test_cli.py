@@ -21,7 +21,6 @@ from laplab.cli import (
     write_table,
 )
 from laplab import cli
-from laplab.boundary import _memo_reduction
 from laplab.lattice import GridSpec
 
 
@@ -128,12 +127,22 @@ class TestExitCodes:
                      id="potential-d3-report-too-coarse"),
         ("sweep", "tolerances.solver=0", "tolerances.solver"),
         ("norms", "tolerances.sqrt2_slack=[1]", "tolerances.sqrt2_slack"),
+        ("norms", "family=3", "family.kinds"),
+        ("norms", "family={}", "family.kinds"),
+        pytest.param("norms", "family=[]", "family.kinds",
+                     id="norms-seeded-family-list"),
+        ("norms", "family.kinds=[]", "family.kinds"),
+        ("norms", "family.count=1.5", "family.count"),
+        ("norms", "family.seed=-1", "family.seed"),
+        ("norms", "family.modulation_radius=0", "family.modulation_radius"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, capsys, command,
                                          setting, field):
         settings = [setting] if isinstance(setting, str) else setting
-        code, _ = run([command] + [a for s in settings for a in ("--set", s)],
-                      tmp_path, "badsec")
+        # --seed writes into the family section, which must not crash it
+        seed = ["--seed", "3"] if setting == "family=[]" else []
+        code, _ = run([command] + [a for s in settings for a in ("--set", s)]
+                      + seed, tmp_path, "badsec")
         assert code == EXIT_VALIDATION
         assert f"config error: {field}:" in capsys.readouterr().err
 
@@ -219,6 +228,16 @@ class TestNorms:
         bs = float(rows[0][header.index("bstar")])
         assert b == pytest.approx(bs, rel=1e-12)
 
+    def test_failed_embedding_is_exit_3(self, tmp_path, monkeypatch):
+        # a tiny B norm drives the B embedding ratio far above sqrt(2)
+        monkeypatch.setattr(cli, "b_norm", lambda f: 1e-12)
+        code, out = run(["norms", "--set", "family.count=1"], tmp_path,
+                        "fail")
+        assert code == EXIT_CRITERIA
+        summary = read_summary(out / "norms.json")
+        assert summary["checked"] == 1
+        assert summary["embeddings_ok"] is False
+
     def test_empty_family(self, tmp_path):
         code, out = run(["norms", "--set", "family.count=0"], tmp_path,
                         "empty")
@@ -228,6 +247,9 @@ class TestNorms:
         assert comment.startswith("# laplab-table-v1 norms")
         summary = read_summary(out / "norms.json")
         assert summary["fields"] == 0
+        # nothing was judged, so the verdict is null rather than a pass
+        assert summary["checked"] == 0
+        assert summary["embeddings_ok"] is None
 
 
 class TestSpectrumCommand:
@@ -241,10 +263,20 @@ class TestSpectrumCommand:
                           "oracle_rel"]
         s = read_summary(out / "spectrum.json")
         assert s["ok"] is True and s["oracle"]
+        assert s["checked"] == len(rows) + len(s["oracle"])
         for cand, mult, width, rel in rows:
             assert int(mult) >= 1
             assert 0 < float(width) <= 1e-12 * max(1.0, abs(float(cand)))
             assert float(rel) <= 1e-10
+
+    def test_free_spectrum_checks_nothing(self, tmp_path):
+        # V = 0 has no bound states and no oracle run: a null verdict, exit 0
+        code, out = run(["spectrum", "--set", "grid.points_per_axis=32"],
+                        tmp_path, "free")
+        assert code == EXIT_OK
+        s = read_summary(out / "spectrum.json")
+        assert s["candidates"] == [] and s["oracle"] == []
+        assert s["checked"] == 0 and s["ok"] is None
 
     @pytest.mark.parametrize("fake", [
         lambda eigs: eigs + 0.05,                        # every one moved
@@ -299,6 +331,8 @@ class TestKernelCommand:
         assert code == EXIT_OK
         _, _, rows = read_table(out / "kernel.csv")
         assert rows == []
+        s = read_summary(out / "kernel.json")
+        assert s["checked"] == 0 and s["band_ok"] is None
 
     def test_impossible_band_fails_criteria(self, tmp_path):
         code, _ = run(["kernel", "--set", "kernel.band_factor=1.0000001",
@@ -344,30 +378,6 @@ class TestDeterminism:
         _, out2 = run(["norms", "--seed", "2"], tmp_path, "d2")
         assert (out1 / "norms.csv").read_bytes() != \
             (out2 / "norms.csv").read_bytes()
-
-
-class TestWorkers:
-    def test_parallel_map_order_preserved(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAPLAB_WORKERS", "4")
-        args = ["norms", "--set", "family.count=4", "--seed", "9"]
-        _, out = run(args, tmp_path, "par")
-        monkeypatch.setenv("LAPLAB_WORKERS", "1")
-        _, ref = run(args, tmp_path, "ser")
-        assert (out / "norms.csv").read_bytes() == \
-            (ref / "norms.csv").read_bytes()
-
-    def test_resolvent_threads_byte_identical(self, tmp_path, monkeypatch):
-        # the radial-reduction memo is shared by the worker threads; a cold
-        # memo makes both runs build their tables
-        args = ["resolvent", "--set", "lambdas=[0.5,1.0]",
-                "--set", "family.count=2"]
-        tables = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("LAPLAB_WORKERS", workers)
-            _memo_reduction.cache_clear()
-            _, out = run(args, tmp_path, f"w{workers}")
-            tables.append((out / "resolvent.csv").read_bytes())
-        assert tables[0] == tables[1]
 
 
 class TestTableFormat:

@@ -1,6 +1,6 @@
 """Every module-level import in the package is used (no linter is installed,
-so this walks the syntax trees), and every name the benchmark's tracer wraps
-exists."""
+so this walks the syntax trees), every name in a module's ``__all__`` exists,
+and every name the benchmark's tracer wraps exists."""
 
 import ast
 import functools
@@ -41,6 +41,18 @@ def unused_imports(source: str) -> list:
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py"))
+             if "__all__" in p.read_text(encoding="utf-8")],
+    ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    # a stale __all__ entry breaks `from laplab.<module> import *`
+    name = "laplab" if path.stem == "__init__" else f"laplab.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
 
 
 def test_tracer_targets_resolve():

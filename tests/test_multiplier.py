@@ -7,10 +7,9 @@ import pytest
 from laplab.family import FamilySpec, standard_family
 from laplab.lattice import (Field, GridSpec, PHYSICAL, forward_transform,
                             inverse_transform, sample)
-from laplab.multiplier import (CutoffSpec, Symbol, apply_symbol, apply_values,
-                               bessel_symbol, chi_lambda, free_resolvent,
-                               pm_symbol, pm_values, require_shell_resolved,
-                               shell_radial_resolution)
+from laplab.multiplier import (CutoffSpec, apply_symbol, apply_values,
+                               bessel_values, chi_values, free_resolvent,
+                               pm_values, shell_radial_resolution)
 from laplab.spaces import (LorentzExponents, WeightParams, b_norm, bstar_norm,
                            lorentz_norm, mu_weight_field,
                            stein_tomas_exponent)
@@ -26,13 +25,12 @@ def gchi():
 
 class TestApplySymbol:
     def test_identity(self, g2, gauss2):
-        one = Symbol(lambda *xi: np.ones(np.broadcast(*xi).shape))
-        out = apply_symbol(one, gauss2)
+        out = apply_symbol(np.ones(g2.shape), gauss2)
         assert np.max(np.abs(out.values - gauss2.values)) < 1e-12
 
     def test_bessel_inverse_pair(self, g2, gauss2):
-        u = apply_symbol(bessel_symbol(1.3), gauss2)
-        back = apply_symbol(bessel_symbol(-1.3), u)
+        u = apply_symbol(bessel_values(g2, 1.3), gauss2)
+        back = apply_symbol(bessel_values(g2, -1.3), u)
         rel = np.max(np.abs(back.values - gauss2.values)) \
             / np.max(np.abs(gauss2.values))
         assert rel < 1e-10
@@ -40,7 +38,7 @@ class TestApplySymbol:
     def test_s2_matches_finite_differences(self):
         g = GridSpec(2, 8.0, 128)
         f = sample(lambda x, y: np.exp(-(x**2 + y**2) / 2.0), g)
-        s2 = apply_symbol(bessel_symbol(2.0), f).values.real
+        s2 = apply_symbol(bessel_values(g, 2.0), f).values.real
         v = f.values.real
         h = g.spacing
         lap = (np.roll(v, 1, 0) + np.roll(v, -1, 0) + np.roll(v, 1, 1)
@@ -49,12 +47,13 @@ class TestApplySymbol:
         err = np.max(np.abs(s2 - fd))
         assert err < 5.0 * h**2    # second-order accuracy of the stencil
 
-    def test_nonfinite_symbol_rejected(self, g2, gauss2):
-        bad = Symbol(lambda *xi: 1.0 / sum(x**2 for x in xi))
-        # the lattice holds xi = 0: the division by zero is the point
-        with np.errstate(divide="ignore"), \
-                pytest.raises(ValueError, match="finite"):
-            apply_symbol(bad, gauss2)
+    def test_bessel_array_cached_read_only(self, g2):
+        s = bessel_values(g2, 1.3)
+        assert bessel_values(g2, 1.3) is s
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 1.0
+        np.testing.assert_array_equal(
+            s, (1.0 + sum(x**2 for x in g2.freq_grids())) ** 0.65)
 
 
 class TestApplyValues:
@@ -97,7 +96,7 @@ class TestFreeResolvent:
 
     def test_defining_relation(self, g2, gauss2):
         u = free_resolvent(-1.0, 1, gauss2)
-        back = apply_symbol(pm_symbol(1), u)
+        back = apply_values(pm_values(g2, 1), u)
         resid = back.values - (-1.0) * u.values - gauss2.values
         assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(gauss2.values))
 
@@ -136,7 +135,7 @@ class TestFreeResolvent:
 class TestChiLambda:
     def test_plateau_and_support(self, gchi):
         spec = CutoffSpec(1.0, 1)
-        chi = chi_lambda(spec, gchi).on_grid(gchi).real
+        chi = chi_values(gchi, spec)
         pm = np.broadcast_to(pm_values(gchi, 1), gchi.shape)
         assert np.all((chi >= 0.0) & (chi <= 1.0))
         assert np.all(chi[(pm >= 0.75) & (pm <= 1.25)] == 1.0)
@@ -152,7 +151,7 @@ class TestChiLambda:
         spec = CutoffSpec(1.0, 1)
         assert shell_radial_resolution(g2, spec) < 8
         with pytest.raises(ValueError, match="n >="):
-            chi_lambda(spec, g2)
+            chi_values(g2, spec)
 
     def test_nonsingular_part_uniformly_bounded(self, gchi):
         # (1 - chi)(xi) (1 + |xi|^2)^m / (|xi|^{2m} - lambda): finite sup,
@@ -161,7 +160,7 @@ class TestChiLambda:
         pm = np.broadcast_to(pm_values(gchi, 1), gchi.shape)
         xi2 = pm
         for lam in (0.5, 0.75, 1.0, 1.5, 2.0):
-            chi = chi_lambda(CutoffSpec(lam, 1), gchi).on_grid(gchi).real
+            chi = chi_values(gchi, CutoffSpec(lam, 1))
             denom = pm - lam
             sym = np.where(np.abs(1.0 - chi) > 0,
                            (1.0 - chi) * (1.0 + xi2) / denom, 0.0)
@@ -179,8 +178,7 @@ class TestChiLambda:
         fam = standard_family(gchi, FamilySpec(count=3, seed=4))
         pd, _ = stein_tomas_exponent(2)
         lor = LorentzExponents(pd, 2.0)
-        phi = Symbol(lambda *xi: chi_lambda(CutoffSpec(1.0, 1)).fn(*xi)
-                     * bessel_symbol(1.0).fn(*xi))
+        phi = chi_values(gchi, CutoffSpec(1.0, 1)) * bessel_values(gchi, 1.0)
         gammas = (1.0, 0.1, 0.01, 1e-5, 1e-6, 1e-8)
         saturated = [g_ for g_ in gammas if g_ <= gchi.half_width ** (-2)]
         assert len(saturated) >= 2

@@ -134,12 +134,12 @@ class TestComposite:
         assert x_norm_upper(z, cfg) == 0.0
 
     def test_xstar_recomputation(self, g2, gauss2):
-        from laplab.multiplier import apply_symbol, bessel_symbol
+        from laplab.multiplier import apply_values, bessel_values
         cfg = CompositeNormConfig(m=1, d=2)
         _, pdp = cfg.exponents
-        lor = lorentz_norm(apply_symbol(bessel_symbol(cfg.theta), gauss2),
+        lor = lorentz_norm(apply_values(bessel_values(g2, cfg.theta), gauss2),
                            LorentzExponents(pdp, 2.0))
-        bst = bstar_norm(apply_symbol(bessel_symbol(1.0), gauss2))
+        bst = bstar_norm(apply_values(bessel_values(g2, 1.0), gauss2))
         assert xstar_norm(gauss2, cfg) == pytest.approx(max(lor, bst),
                                                         rel=1e-12)
 
