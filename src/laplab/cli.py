@@ -3,9 +3,10 @@
 A single JSON config drives every subcommand; ``--seed`` and repeated
 ``--set path=value`` flags override individual fields (precedence: built-in
 defaults < config file < --set < --seed).  Tables go to CSV with a versioned
-schema comment line; summaries go to JSON.  Exit codes: 0 success, 2 config
-validation failure, 3 acceptance-style criteria failed, 4 completed with
-solver holes.
+schema comment line; summaries go to JSON.  Each command returns a `Report`;
+``main`` alone times it, writes its table and summary, and picks the exit
+code: 0 success, 2 config validation failure, 3 the verdict failed, 4
+completed with solver holes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,25 +126,38 @@ _MISSING = object()
 
 
 def _lookup(cfg, path, errors):
+    keys = path.split(".")
     node = cfg
-    for k in path.split("."):
-        if not isinstance(node, dict) or k not in node:
+    for i, k in enumerate(keys):
+        if not isinstance(node, dict):
+            # reported once, not once for every field of the section
+            msg = f"{'.'.join(keys[:i])}: expected an object, got {node!r}"
+            if msg not in errors:
+                errors.append(msg)
+            return _MISSING
+        if k not in node:
             errors.append(f"{path}: missing")
             return _MISSING
         node = node[k]
     return node
 
 
-def _num(cfg, path, lo=None, hi=None, integer=False, errors=None):
+def _num(cfg, path, lo=None, hi=None, above=None, integer=False,
+         errors=None):
     node = _lookup(cfg, path, errors)
     if node is _MISSING:
         return None
-    return _check_num(path, node, lo, hi, integer, errors)
+    return _check_num(path, node, lo, hi, above, integer, errors)
 
 
-def _check_num(path, node, lo, hi, integer, errors):
+def _check_num(path, node, lo, hi, above, integer, errors):
+    """``node`` if it is a finite number within the bounds, else None."""
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         errors.append(f"{path}: expected a number, got {node!r}")
+        return None
+    # JSON reads NaN and Infinity, and NaN passes every comparison below
+    if isinstance(node, float) and not math.isfinite(node):
+        errors.append(f"{path}: expected a finite number, got {node!r}")
         return None
     if integer and not (isinstance(node, int) or float(node).is_integer()):
         errors.append(f"{path}: expected an integer, got {node!r}")
@@ -149,57 +165,46 @@ def _check_num(path, node, lo, hi, integer, errors):
     if lo is not None and node < lo:
         errors.append(f"{path}: must be >= {lo}, got {node}")
         return None
+    if above is not None and not node > above:
+        errors.append(f"{path}: must be > {above}, got {node}")
+        return None
     if hi is not None and node > hi:
         errors.append(f"{path}: must be <= {hi}, got {node}")
         return None
     return node
 
 
-def _positive(cfg, path, errors):
-    v = _num(cfg, path, errors=errors)
-    if v is not None and not v > 0:
-        errors.append(f"{path}: must be positive, got {v}")
-
-
-def _num_list(cfg, path, lo=None, integer=False, length=None, errors=None):
+def _num_list(cfg, path, lo=None, above=None, integer=False, length=None,
+              errors=None) -> list:
+    """The checked entries of a list field; [] if it is not a list."""
     node = _lookup(cfg, path, errors)
     if node is _MISSING:
-        return
+        return []
     if not isinstance(node, list) or (length is not None
                                       and len(node) != length):
         size = f"{length} " if length is not None else ""
         errors.append(f"{path}: expected a list of {size}numbers, got {node!r}")
-        return
-    for i, v in enumerate(node):
-        _check_num(f"{path}[{i}]", v, lo, None, integer, errors)
+        return []
+    return [_check_num(f"{path}[{i}]", v, lo, None, above, integer, errors)
+            for i, v in enumerate(node)]
 
 
 def validate_config(cfg: dict) -> list:
     errors: list = []
     _num(cfg, "grid.dimension", 2, 4, integer=True, errors=errors)
-    _num(cfg, "grid.half_width", 1e-12, errors=errors)
+    _num(cfg, "grid.half_width", above=0, errors=errors)
     n = _num(cfg, "grid.points_per_axis", 16, integer=True, errors=errors)
     if n is not None and int(n) % 2:
         errors.append(f"grid.points_per_axis: must be even, got {n}")
     _num(cfg, "m", 1, integer=True, errors=errors)
-    delta = _num(cfg, "delta", errors=errors)
-    if delta is not None and not 0.0 < delta <= 1.0:
-        errors.append(f"delta: must lie in (0, 1], got {delta}")
-    for key in ("lambdas", "epsilons"):
-        vals = cfg.get(key)
-        if not isinstance(vals, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in vals):
-            errors.append(f"{key}: expected a list of numbers")
-            continue
-        if key == "epsilons" and any(v <= 0 for v in vals):
-            errors.append("epsilons: all entries must be positive")
-        if key == "lambdas" and delta is not None and not errors:
-            for v in vals:
-                if not delta <= v <= 1.0 / delta:
-                    errors.append(
-                        f"lambdas: {v} outside [delta, 1/delta] = "
-                        f"[{delta}, {1.0 / delta}]")
+    delta = _num(cfg, "delta", hi=1, above=0, errors=errors)
+    lambdas = _num_list(cfg, "lambdas", errors=errors)
+    if delta is not None:
+        for i, v in enumerate(lambdas):
+            if v is not None and not delta <= v <= 1.0 / delta:
+                errors.append(f"lambdas[{i}]: {v} outside [delta, 1/delta] "
+                              f"= [{delta}, {1.0 / delta}]")
+    _num_list(cfg, "epsilons", above=0, errors=errors)
     sign = cfg.get("sign")
     if sign not in (1, -1):
         errors.append(f"sign: must be +1 or -1, got {sign!r}")
@@ -214,16 +219,16 @@ def validate_config(cfg: dict) -> list:
                      errors=errors)
     _num(cfg, "eigen_margin", 0, errors=errors)
     for key in ("backend_rel", "drift_factor", "solver"):
-        _positive(cfg, f"tolerances.{key}", errors)
+        _num(cfg, f"tolerances.{key}", above=0, errors=errors)
     _num(cfg, "tolerances.sqrt2_slack", 0, errors=errors)
-    _positive(cfg, "kernel.lambda", errors)
+    _num(cfg, "kernel.lambda", above=0, errors=errors)
     _num_list(cfg, "kernel.radii", 0, errors=errors)
     _num(cfg, "kernel.n_directions", 0, integer=True, errors=errors)
-    _positive(cfg, "kernel.tol", errors)
-    _positive(cfg, "kernel.band_factor", errors)
+    _num(cfg, "kernel.tol", above=0, errors=errors)
+    _num(cfg, "kernel.band_factor", above=0, errors=errors)
     _num_list(cfg, "spectrum.interval", length=2, errors=errors)
     _num(cfg, "spectrum.steps", 2, integer=True, errors=errors)
-    _positive(cfg, "spectrum.oracle_rel", errors)
+    _num(cfg, "spectrum.oracle_rel", above=0, errors=errors)
     _num(cfg, "potential_report.q", 1, errors=errors)
     _num_list(cfg, "potential_report.truncations", 1, integer=True,
               errors=errors)
@@ -293,14 +298,19 @@ def _potential(cfg, grid) -> Potential:
                              J=int(pot.get("J", 16)), grid=grid)
 
 
-def _verdict(ok: bool, checked: int):
-    """A pass that judged nothing is null, not true; a failure stays false.
-    ``ok`` may be a NumPy bool, so it is made a Python bool here."""
-    return bool(ok) if checked or not ok else None
+@dataclass(frozen=True)
+class Report:
+    """What a command found: ``ok`` is written under the summary key
+    ``verdict``, ``checked`` counts the items it judged and ``holes`` the
+    solves that left a gap in the table."""
 
-
-def _exit_code(verdict) -> int:
-    return EXIT_CRITERIA if verdict is False else EXIT_OK
+    header: list
+    rows: list
+    summary: dict
+    verdict: str
+    ok: bool
+    checked: int
+    holes: int
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +369,7 @@ def _json_default(v):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_norms(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_norms(cfg) -> Report:
     grid = _grid(cfg)
     ncfg = CompositeNormConfig(m=int(cfg["m"]), d=grid.dimension)
     pd, pdp = stein_tomas_exponent(grid.dimension)
@@ -382,20 +391,16 @@ def cmd_norms(cfg, out_dir) -> int:
     rows = [one(item) for item in fam]
     header = ["label", "l2", f"lp_{pd:.6g}", "lorentz_pd_2", "b", "bstar",
               "xstar", "x_upper", "emb_ratio_b", "emb_ratio_bstar"]
-    write_table(os.path.join(out_dir, "norms.csv"), "norms", header, rows)
     bound = np.sqrt(2.0) * (1.0 + cfg["tolerances"]["sqrt2_slack"])
     worst = max((max(r[-2], r[-1]) for r in rows), default=0.0)
-    ok = _verdict(worst <= bound, len(rows))
-    write_summary(os.path.join(out_dir, "norms.json"), "norms", cfg,
+    return Report(header, rows,
                   {"fields": len(rows), "max_embedding_ratio": worst,
-                   "sqrt2_bound": float(bound), "embeddings_ok": ok,
-                   "checked": len(rows)},
-                  time.time() - t0)
-    return _exit_code(ok)
+                   "sqrt2_bound": float(bound)},
+                  verdict="embeddings_ok", ok=worst <= bound,
+                  checked=len(rows), holes=0)
 
 
-def cmd_resolvent(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_resolvent(cfg) -> Report:
     grid = _grid(cfg)
     m, sign = int(cfg["m"]), int(cfg["sign"])
     delta = float(cfg["delta"])
@@ -424,25 +429,19 @@ def cmd_resolvent(cfg, out_dir) -> int:
     rows = [one(cell) for cell in cells]
     header = ["lambda", "label", "plemelj", "epsilon_limit", "rel_diff",
               "im_part"]
-    write_table(os.path.join(out_dir, "resolvent.csv"), "resolvent", header,
-                rows)
     done = [r for r in rows if not np.isnan(r[4])]
     holes = len(rows) - len(done)
     worst = max((r[4] for r in done), default=0.0)
     min_im = min((r[5] * sign for r in done), default=0.0)
-    ok = worst <= tol and min_im >= -1e-10
-    write_summary(os.path.join(out_dir, "resolvent.json"), "resolvent", cfg,
+    return Report(header, rows,
                   {"pairs": len(rows), "max_backend_rel_diff": worst,
-                   "min_signed_im": min_im, "agreement_ok": ok,
-                   "holes": holes},
-                  time.time() - t0)
-    if holes:
-        return EXIT_HOLES
-    return EXIT_OK if ok else EXIT_CRITERIA
+                   "min_signed_im": min_im, "holes": holes},
+                  verdict="agreement_ok",
+                  ok=worst <= tol and min_im >= -1e-10,
+                  checked=len(done), holes=holes)
 
 
-def cmd_kernel(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_kernel(cfg) -> Report:
     grid_d = int(cfg["grid"]["dimension"])
     kc = cfg["kernel"]
     lam, m = float(kc["lambda"]), int(cfg["m"])
@@ -454,13 +453,12 @@ def cmd_kernel(cfg, out_dir) -> int:
     rows = [[i // per_dir, float(np.linalg.norm(x)), mag, norm_val, int(flag)]
             for i, (x, mag, norm_val, flag) in enumerate(scan.rows)]
     header = ["direction", "radius", "abs_k", "normalized", "flagged"]
-    write_table(os.path.join(out_dir, "kernel.csv"), "kernel", header, rows)
     vals = [r[3] for r in rows if not r[4]]
     med = float(np.median(vals)) if vals else 0.0
     band = float(kc["band_factor"])
     # the decay rate is uniform along each ray; the amplitude varies with the
     # direction, so the band is checked per direction
-    ok = not radii or bool(vals)
+    ok = not rows or bool(vals)
     checked = 0
     for j in range(len(dirs)):
         dvals = [r[3] for r in rows if r[0] == j and not r[4]]
@@ -468,14 +466,12 @@ def cmd_kernel(cfg, out_dir) -> int:
         if dvals and dm > 0:
             checked += len(dvals)
             ok = ok and max(dvals) <= band * dm and min(dvals) >= dm / band
-    ok = _verdict(ok, checked)
-    write_summary(os.path.join(out_dir, "kernel.json"), "kernel", cfg,
-                  {"samples": len(rows), "empirical_constant": scan.max_normalized,
+    return Report(header, rows,
+                  {"samples": len(rows),
+                   "empirical_constant": scan.max_normalized,
                    "median_normalized": med, "band_factor": band,
-                   "band_ok": ok, "flagged": sum(r[4] for r in rows),
-                   "checked": checked},
-                  time.time() - t0)
-    return _exit_code(ok)
+                   "flagged": sum(r[4] for r in rows)},
+                  verdict="band_ok", ok=ok, checked=checked, holes=0)
 
 
 _MAX_TILT = np.deg2rad(30.0)
@@ -492,8 +488,7 @@ def _directions(d, n):
             for t in tilts]
 
 
-def cmd_sweep(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_sweep(cfg) -> Report:
     grid = _grid(cfg)
     m, sign = int(cfg["m"]), int(cfg["sign"])
     V = _potential(cfg, grid)
@@ -506,14 +501,14 @@ def cmd_sweep(cfg, out_dir) -> int:
         counter = EigenvalueCounter(V, m)
         prescan = {"support_nodes": counter.nodes,
                    "warning": counter.warning}
-        for lam in lambdas:
+        for i, lam in enumerate(lambdas):
             lo, hi = lam - margin, lam + margin
             xi_lo, xi_hi = counter.xi(lo), counter.xi(hi)
             if xi_lo != xi_hi:
-                print(f"sweep: lambda={lam:g}: V moves an eigenvalue across "
-                      f"[{lo:.4g}, {hi:.4g}] (spectral shift {xi_lo} -> "
-                      f"{xi_hi})", file=sys.stderr)
-                return EXIT_VALIDATION
+                raise ValueError(
+                    f"lambdas[{i}]: V moves an eigenvalue across [{lo:.4g}, "
+                    f"{hi:.4g}] around lambda={lam:g} (spectral shift "
+                    f"{xi_lo} -> {xi_hi})")
     ncfg = CompositeNormConfig(m=m, d=grid.dimension)
     fam = _family(cfg, grid)
     report = lap_perturbed_sweep(V, m, lambdas,
@@ -523,23 +518,24 @@ def cmd_sweep(cfg, out_dir) -> int:
     rows = [[r.lam, r.eps, r.proxy, r.worst_label, r.residual, int(r.ok)]
             for r in report["rows"]]
     header = ["lambda", "epsilon", "proxy", "worst_label", "residual", "ok"]
-    write_table(os.path.join(out_dir, "sweep.csv"), "sweep", header, rows)
     drift_limit = float(cfg["tolerances"]["drift_factor"])
     drift = report["last_decade_drift"]
-    drift_ok = np.isfinite(drift) and drift < drift_limit
-    write_summary(os.path.join(out_dir, "sweep.json"), "sweep", cfg,
+    # the drift compares the converged cells of the last epsilon-decade; a
+    # cell of an empty family converged without solving anything
+    done = [r for r in report["rows"] if r.ok]
+    smallest = min((r.eps for r in done), default=0.0)
+    checked = sum(r.eps <= 10.0 * smallest for r in done) if fam else 0
+    return Report(header, rows,
                   {"sup": report["sup"], "sup_by_eps": report["sup_by_eps"],
                    "last_decade_drift": drift, "drift_limit": drift_limit,
-                   "drift_ok": bool(drift_ok), "holes": report["holes"],
-                   "eigen_prescan": prescan},
-                  time.time() - t0)
-    if report["holes"]:
-        return EXIT_HOLES
-    return EXIT_OK if drift_ok else EXIT_CRITERIA
+                   "holes": report["holes"], "eigen_prescan": prescan},
+                  verdict="drift_ok",
+                  ok=not checked or (np.isfinite(drift)
+                                     and drift < drift_limit),
+                  checked=checked, holes=report["holes"])
 
 
-def cmd_spectrum(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_spectrum(cfg) -> Report:
     grid = _grid(cfg)
     m = int(cfg["m"])
     sc = cfg["spectrum"]
@@ -571,22 +567,17 @@ def cmd_spectrum(cfg, out_dir) -> int:
         all(r[3] <= gate for r in rows)
         and all(min((abs(c - e) / abs(e) for c in cands), default=np.inf)
                 <= gate for e in oracle))
-    checked = len(rows) + len(oracle) if judged else 0
-    ok = _verdict(ok, checked)
     header = ["candidate", "multiplicity", "probe_halving_shift",
               "oracle_rel"]
-    write_table(os.path.join(out_dir, "spectrum.csv"), "spectrum", header,
-                rows)
-    write_summary(os.path.join(out_dir, "spectrum.json"), "spectrum", cfg,
+    return Report(header, rows,
                   {"candidates": rows, "oracle": [float(e) for e in oracle],
                    "support_nodes": res.support_nodes, "grid_step": grid_step,
-                   "warning": res.warning, "ok": ok, "checked": checked},
-                  time.time() - t0)
-    return _exit_code(ok)
+                   "warning": res.warning},
+                  verdict="ok", ok=ok,
+                  checked=len(rows) + len(oracle) if judged else 0, holes=0)
 
 
-def cmd_potential(cfg, out_dir) -> int:
-    t0 = time.time()
+def cmd_potential(cfg) -> Report:
     pc = cfg["potential_report"]
     base = _grid(cfg)
     # the staircase needs cells much smaller than the thinnest shell, so the
@@ -619,18 +610,15 @@ def cmd_potential(cfg, out_dir) -> int:
                      lorentz_norm(tail, exps),
                      float(np.log(2.0 + N) ** (-1.0 / q))])
     header = ["N", "weak_norm", "tail_weak_norm", "log_bound"]
-    write_table(os.path.join(out_dir, "potential.csv"), "potential", header,
-                rows)
     tails = [r[2] for r in rows]
     bounds = [r[3] for r in rows]
     decreasing = all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
     within = all(t <= 2.0 * b for t, b in zip(tails, bounds))
-    ok = decreasing and within
-    write_summary(os.path.join(out_dir, "potential.json"), "potential", cfg,
+    return Report(header, rows,
                   {"q": q, "reference_J": ref, "tail_decreasing": decreasing,
-                   "tail_within_factor2": within, "ok": ok},
-                  time.time() - t0)
-    return EXIT_OK if ok else EXIT_CRITERIA
+                   "tail_within_factor2": within},
+                  verdict="ok", ok=decreasing and within, checked=len(rows),
+                  holes=0)
 
 
 COMMANDS = {
@@ -659,24 +647,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
+        errors = validate_config(cfg)
     except ConfigError as e:
-        for msg in e.messages:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_VALIDATION
+        errors = e.messages
     except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    errors = validate_config(cfg)
+        errors = [str(e)]
     if errors:
         for msg in errors:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
     os.makedirs(args.out_dir, exist_ok=True)
+    t0 = time.time()
     try:
-        return COMMANDS[args.command](cfg, args.out_dir)
+        report = COMMANDS[args.command](cfg)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    wall_clock = time.time() - t0
+    path = os.path.join(args.out_dir, args.command)
+    write_table(f"{path}.csv", args.command, report.header, report.rows)
+    # a pass that judged nothing is null, a failure stays false (as a bool)
+    verdict = bool(report.ok) if report.checked or not report.ok else None
+    write_summary(f"{path}.json", args.command, cfg,
+                  {**report.summary, report.verdict: verdict,
+                   "checked": report.checked}, wall_clock)
+    if report.holes:
+        return EXIT_HOLES
+    return EXIT_CRITERIA if verdict is False else EXIT_OK
 
 
 if __name__ == "__main__":

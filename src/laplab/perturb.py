@@ -80,15 +80,18 @@ class Potential:
         return lorentz_norm(self.field, LorentzExponents(q, math.inf))
 
 
-def example_potential(q: float, J: int, grid: GridSpec,
-                      measure_tol: float = 0.01) -> Potential:
+#: largest relative rounding error of a staircase shell's grid measure
+SHELL_MEASURE_TOL = 0.01
+
+
+def example_potential(q: float, J: int, grid: GridSpec) -> Potential:
     """The weak-L^q staircase sum_{j<=J} j^{-1/q} 1_{E_j} with disjoint
     concentric shells E_j of grid measure 1/ln(1+j).
 
     Shells are contiguous runs of lattice nodes ordered by radius, so each
     measure is exact up to one cell; construction fails if the rounding error
-    of any shell exceeds ``measure_tol`` relative or the box cannot host the
-    total measure.
+    of any shell exceeds ``SHELL_MEASURE_TOL`` relative or the box cannot host
+    the total measure.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -98,10 +101,10 @@ def example_potential(q: float, J: int, grid: GridSpec,
     measures = [1.0 / math.log(1 + j) for j in range(1, J + 1)]
     counts = [round(mj / h) for mj in measures]
     for j, (mj, cj) in enumerate(zip(measures, counts), start=1):
-        if cj == 0 or abs(cj * h - mj) > measure_tol * mj:
+        if cj == 0 or abs(cj * h - mj) > SHELL_MEASURE_TOL * mj:
             raise ValueError(
                 f"grid too coarse to realize |E_{j}| = {mj:.4f} within "
-                f"{measure_tol:.0%} (cell volume {h:.2e})"
+                f"{SHELL_MEASURE_TOL:.0%} (cell volume {h:.2e})"
             )
     total = sum(counts)
     if total > grid.points_per_axis**grid.dimension:
@@ -295,6 +298,9 @@ def direct_eigs(m: int, V: Potential, k: int = 4) -> np.ndarray:
 
 #: final bracket width of a located eigenvalue, relative to max(1, |lambda|)
 BISECTION_WIDTH = 1e-12
+#: support nodes an eigenvalue count keeps, the strongest ones; each count
+#: factors a dense matrix of this order
+MAX_SUPPORT_NODES = 1500
 
 
 class EigenvalueCounter:
@@ -317,17 +323,18 @@ class EigenvalueCounter:
     factorisation.
     """
 
-    def __init__(self, V: Potential, m: int, max_nodes: int = 1500):
+    def __init__(self, V: Potential, m: int):
         grid = V.grid
         vals = V.real_values().ravel()
         idx = np.flatnonzero(vals)
         self.warning = None
-        if len(idx) > max_nodes:
+        if len(idx) > MAX_SUPPORT_NODES:
             # keep the strongest nodes; deterministic tie-break by index
             order = np.lexsort((idx, -np.abs(vals[idx])))
-            idx = np.sort(idx[order[:max_nodes]])
-            self.warning = (f"support truncated to {max_nodes} strongest "
-                            "nodes; counts are those of V restricted to them")
+            idx = np.sort(idx[order[:MAX_SUPPORT_NODES]])
+            self.warning = (f"support truncated to {MAX_SUPPORT_NODES} "
+                            "strongest nodes; counts are those of V "
+                            "restricted to them")
         self.grid, self.pm = grid, pm_values(grid, m)
         self.nodes = len(idx)
         v_at = vals[idx]
@@ -393,8 +400,7 @@ class EigenScanResult:
 
 
 def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
-               steps: int = 120,
-               max_support_nodes: int = 1500) -> EigenScanResult:
+               steps: int = 120) -> EigenScanResult:
     """Every eigenvalue of H = P_m(D) + V in [a, b], with its multiplicity.
 
     Counts #{eig H < lambda} exactly on a ``steps``-point grid, then bisects
@@ -408,7 +414,7 @@ def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
         raise ValueError("interval must satisfy a < b")
     if a <= 0 <= b:
         raise ValueError("interval must avoid 0")
-    counter = EigenvalueCounter(V, m, max_support_nodes)
+    counter = EigenvalueCounter(V, m)
     grid_lam = [float(l) for l in np.linspace(a, b, steps)]
     counts = {l: counter.count(l) for l in grid_lam}
     cells = list(zip(grid_lam[:-1], grid_lam[1:]))[::-1]

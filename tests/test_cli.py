@@ -87,11 +87,13 @@ class TestConfig:
         assert "grid.points_per_axis" in joined
         assert "sign" in joined
         assert "delta" in joined
-        assert "epsilons" in joined
+        assert "epsilons[1]:" in joined
 
     def test_lambda_window_validation(self):
-        cfg = load_config(None, overrides=["lambdas=[0.1]"])
-        assert any("lambdas" in e for e in validate_config(cfg))
+        # an unrelated bad field does not hide the window check
+        cfg = load_config(None, overrides=["lambdas=[1.0,0.1]",
+                                           "grid.points_per_axis=127"])
+        assert any(e.startswith("lambdas[1]:") for e in validate_config(cfg))
 
 
 class TestExitCodes:
@@ -127,9 +129,11 @@ class TestExitCodes:
                      id="potential-d3-report-too-coarse"),
         ("sweep", "tolerances.solver=0", "tolerances.solver"),
         ("norms", "tolerances.sqrt2_slack=[1]", "tolerances.sqrt2_slack"),
-        ("norms", "family=3", "family.kinds"),
+        ("norms", "family=3", "family"),
+        ("kernel", "kernel=3", "kernel"),
+        ("norms", "tolerances=[1]", "tolerances"),
         ("norms", "family={}", "family.kinds"),
-        pytest.param("norms", "family=[]", "family.kinds",
+        pytest.param("norms", "family=[]", "family",
                      id="norms-seeded-family-list"),
         ("norms", "family.kinds=[]", "family.kinds"),
         ("norms", "family.count=1.5", "family.count"),
@@ -144,7 +148,26 @@ class TestExitCodes:
         code, _ = run([command] + [a for s in settings for a in ("--set", s)]
                       + seed, tmp_path, "badsec")
         assert code == EXIT_VALIDATION
-        assert f"config error: {field}:" in capsys.readouterr().err
+        # a section that is not an object is reported once, not per field
+        assert capsys.readouterr().err.count(f"config error: {field}:") == 1
+
+    @pytest.mark.parametrize("command,setting,field", [
+        ("sweep", "eigen_margin=NaN", "eigen_margin"),
+        ("spectrum", "spectrum.interval=[NaN,-0.5]", "spectrum.interval[0]"),
+        ("sweep", "epsilons=[NaN]", "epsilons[0]"),
+        ("kernel", "kernel.radii=[NaN]", "kernel.radii[0]"),
+        ("norms", "tolerances.sqrt2_slack=NaN", "tolerances.sqrt2_slack"),
+        ("sweep", "potential.depth=NaN", "potential.depth"),
+        ("norms", "grid.half_width=Infinity", "grid.half_width"),
+        ("resolvent", "lambdas=[-Infinity]", "lambdas[0]"),
+    ])
+    def test_non_finite_number_is_exit_2(self, tmp_path, capsys, command,
+                                         setting, field):
+        # JSON reads NaN and Infinity; NaN would pass every bound check
+        code, _ = run([command, "--set", setting], tmp_path, "nonfinite")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config error: {field}: expected a finite number" in err
 
     DEEP_WELL = ["--set", "grid.dimension=3", "--set", "grid.half_width=6.0",
                  "--set", "grid.points_per_axis=32",
@@ -159,6 +182,7 @@ class TestExitCodes:
                       tmp_path, "eig")
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
+        assert "config error: lambdas[0]:" in err
         assert "lambda=0.6" in err and "eigenvalue" in err
 
     def test_sweep_between_shifted_box_modes_runs(self, tmp_path, capsys):
@@ -185,6 +209,30 @@ def test_dimension_4_runs_or_is_refused(tmp_path, capsys, command):
         assert code in (EXIT_OK, EXIT_CRITERIA)
 
 
+# the summary key of each command's verdict
+VERDICTS = {"norms": "embeddings_ok", "resolvent": "agreement_ok",
+            "kernel": "band_ok", "sweep": "drift_ok", "spectrum": "ok",
+            "potential": "ok"}
+# no field, no kernel radius, V = 0 (the default) and no truncation
+EMPTY = ["family.count=0", "kernel.radii=[]",
+         "potential_report.truncations=[]", "grid.points_per_axis=32"]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_empty_input_checks_nothing(tmp_path, command):
+    # a verdict that judged nothing is null rather than a pass, and exits 0
+    code, out = run([command] + [a for s in EMPTY for a in ("--set", s)],
+                    tmp_path, command)
+    assert code == EXIT_OK
+    comment, _, rows = read_table(out / f"{command}.csv")
+    assert comment.startswith(f"# laplab-table-v1 {command} ")
+    # the sweep still writes one row per cell, with nothing solved in it
+    assert rows == [] or command == "sweep"
+    s = read_summary(out / f"{command}.json")
+    assert s["checked"] == 0
+    assert s[VERDICTS[command]] is None
+
+
 class TestSweepCommand:
     SMALL = ["--set", "lambdas=[0.75]", "--set", "epsilons=[0.1,0.05]",
              "--set", "family.count=1"]
@@ -201,6 +249,8 @@ class TestSweepCommand:
         assert code in (EXIT_OK, EXIT_CRITERIA)
         for key in ("drift_ok", "holes", "last_decade_drift", "drift_limit"):
             assert key in s
+        # both epsilons lie in the last decade, one converged cell each
+        assert s["checked"] == 2
 
     def test_weak_well_box_mode_window_runs(self, tmp_path, capsys):
         # eight box modes near 1.07 lie in [0.9, 1.1] for H and for P_m alike
@@ -238,19 +288,6 @@ class TestNorms:
         assert summary["checked"] == 1
         assert summary["embeddings_ok"] is False
 
-    def test_empty_family(self, tmp_path):
-        code, out = run(["norms", "--set", "family.count=0"], tmp_path,
-                        "empty")
-        assert code == EXIT_OK
-        comment, header, rows = read_table(out / "norms.csv")
-        assert rows == []
-        assert comment.startswith("# laplab-table-v1 norms")
-        summary = read_summary(out / "norms.json")
-        assert summary["fields"] == 0
-        # nothing was judged, so the verdict is null rather than a pass
-        assert summary["checked"] == 0
-        assert summary["embeddings_ok"] is None
-
 
 class TestSpectrumCommand:
     def test_well_matches_lanczos(self, tmp_path):
@@ -268,15 +305,6 @@ class TestSpectrumCommand:
             assert int(mult) >= 1
             assert 0 < float(width) <= 1e-12 * max(1.0, abs(float(cand)))
             assert float(rel) <= 1e-10
-
-    def test_free_spectrum_checks_nothing(self, tmp_path):
-        # V = 0 has no bound states and no oracle run: a null verdict, exit 0
-        code, out = run(["spectrum", "--set", "grid.points_per_axis=32"],
-                        tmp_path, "free")
-        assert code == EXIT_OK
-        s = read_summary(out / "spectrum.json")
-        assert s["candidates"] == [] and s["oracle"] == []
-        assert s["checked"] == 0 and s["ok"] is None
 
     @pytest.mark.parametrize("fake", [
         lambda eigs: eigs + 0.05,                        # every one moved
@@ -304,6 +332,7 @@ class TestResolventCommand:
         assert code == EXIT_OK
         _, _, rows = read_table(out / "resolvent.csv")
         assert len(rows) == 1
+        assert read_summary(out / "resolvent.json")["checked"] == 1
 
     def test_failed_pairing_is_a_hole(self, tmp_path, monkeypatch, capsys):
         real = cli.epsilon_limit_pairing
@@ -318,21 +347,22 @@ class TestResolventCommand:
                          "--set", "lambdas=[0.5,1.0]",
                          "--set", "family.count=1"], tmp_path, "hole")
         assert code == EXIT_HOLES
-        assert read_summary(out / "resolvent.json")["holes"] == 1
+        s = read_summary(out / "resolvent.json")
+        # the pair without a hole is the one the verdict judged
+        assert s["holes"] == 1 and s["checked"] == 1
         _, _, rows = read_table(out / "resolvent.csv")
         assert [row[3] == "nan" for row in rows] == [False, True]
         assert "forced failure" in capsys.readouterr().err
 
 
 class TestKernelCommand:
-    def test_empty_radii(self, tmp_path):
-        code, out = run(["kernel", "--set", "kernel.radii=[]"], tmp_path,
-                        "kempty")
+    def test_no_direction_checks_nothing(self, tmp_path):
+        # no ray means no sample: a null verdict, not a failed band
+        code, out = run(["kernel", "--set", "kernel.n_directions=0"],
+                        tmp_path, "knodir")
         assert code == EXIT_OK
-        _, _, rows = read_table(out / "kernel.csv")
-        assert rows == []
         s = read_summary(out / "kernel.json")
-        assert s["checked"] == 0 and s["band_ok"] is None
+        assert s["samples"] == 0 and s["band_ok"] is None
 
     def test_impossible_band_fails_criteria(self, tmp_path):
         code, _ = run(["kernel", "--set", "kernel.band_factor=1.0000001",

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from laplab import perturb
 from laplab.lattice import Field, GridSpec, PHYSICAL
 from laplab.multiplier import free_resolvent, pm_values
 from laplab.perturb import (
@@ -390,9 +391,10 @@ class TestEigenScan:
         for (la, _), (lb, _) in zip(a.candidates, b.candidates):
             assert abs(la - lb) <= 1e-12 * abs(lb)
 
-    def test_truncation_warning(self, g3_well):
+    def test_truncation_warning(self, g3_well, monkeypatch):
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 50)
         V = well_potential(g3_well, depth=-8.0, radius=1.5)
-        res = eigen_scan(V, 1, (-2.0, -1.0), steps=5, max_support_nodes=50)
+        res = eigen_scan(V, 1, (-2.0, -1.0), steps=5)
         assert res.warning is not None and "50" in res.warning
 
 
