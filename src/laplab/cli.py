@@ -213,10 +213,11 @@ def validate_config(cfg: dict) -> list:
             "none", "well", "gaussian", "example"):
         errors.append("potential.kind: must be one of none|well|gaussian|example")
     if isinstance(pot, dict):
-        for key in ("depth", "radius", "width", "q", "J"):
+        bounds = {"depth": {}, "radius": {"above": 0}, "width": {"above": 0},
+                  "q": {"lo": 1}, "J": {"lo": 1, "integer": True}}
+        for key, bound in bounds.items():
             if key in pot:
-                _num(cfg, f"potential.{key}", integer=key == "J",
-                     errors=errors)
+                _num(cfg, f"potential.{key}", errors=errors, **bound)
     _num(cfg, "eigen_margin", 0, errors=errors)
     for key in ("backend_rel", "drift_factor", "solver"):
         _num(cfg, f"tolerances.{key}", above=0, errors=errors)
@@ -226,7 +227,13 @@ def validate_config(cfg: dict) -> list:
     _num(cfg, "kernel.n_directions", 0, integer=True, errors=errors)
     _num(cfg, "kernel.tol", above=0, errors=errors)
     _num(cfg, "kernel.band_factor", above=0, errors=errors)
-    _num_list(cfg, "spectrum.interval", length=2, errors=errors)
+    interval = _num_list(cfg, "spectrum.interval", length=2, errors=errors)
+    if interval and None not in interval:
+        if not interval[0] < interval[1]:
+            errors.append(f"spectrum.interval: must satisfy a < b, got "
+                          f"{interval}")
+        elif interval[0] <= 0 <= interval[1]:
+            errors.append(f"spectrum.interval: must avoid 0, got {interval}")
     _num(cfg, "spectrum.steps", 2, integer=True, errors=errors)
     _num(cfg, "spectrum.oracle_rel", above=0, errors=errors)
     _num(cfg, "potential_report.q", 1, errors=errors)
@@ -294,8 +301,19 @@ def _potential(cfg, grid) -> Potential:
         r = np.broadcast_to(grid.radius_grid(), grid.shape)
         vals = (depth * np.exp(-((r / width) ** 2))).astype(complex)
         return Potential(field=Field(grid, vals, PHYSICAL), kind="gaussian")
-    return example_potential(q=float(pot.get("q", 2.0)),
-                             J=int(pot.get("J", 16)), grid=grid)
+    return _staircase(float(pot.get("q", 2.0)), int(pot.get("J", 16)), grid,
+                      "grid.points_per_axis")
+
+
+def _staircase(q, J, grid, points_field) -> Potential:
+    """``example_potential``, refused with the field to change: ``points_field``
+    for a shell thinner than the cells allow, ``grid.half_width`` for shells
+    that do not fit in the box."""
+    try:
+        return example_potential(q=q, J=J, grid=grid)
+    except ValueError as e:
+        field = "grid.half_width" if "box" in str(e) else points_field
+        raise ValueError(f"{field}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -594,12 +612,8 @@ def cmd_potential(cfg) -> Report:
     exps = LorentzExponents(q, float("inf"))
 
     def staircase(J):
-        # the shells are cut from the report grid, so a shell it cannot
-        # realize is that field's to fix
-        try:
-            return example_potential(q=q, J=J, grid=grid)
-        except ValueError as e:
-            raise ValueError(f"potential_report.points_per_axis: {e}") from e
+        # the shells are cut from the report grid
+        return _staircase(q, J, grid, "potential_report.points_per_axis")
 
     V_ref = staircase(ref)
     rows = []

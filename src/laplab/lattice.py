@@ -35,8 +35,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "nudft_forward",
-    "parseval_defect",
-    "boundary_mass_ratio",
 ]
 
 #: hard cap on n^d; grids above this are refused at construction.
@@ -55,7 +53,6 @@ class GridSpec:
     dimension: int
     half_width: float
     points_per_axis: int
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         d, L, n = self.dimension, self.half_width, self.points_per_axis
@@ -65,9 +62,9 @@ class GridSpec:
             raise ValueError(f"half_width must be positive, got {L}")
         if n < 16 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be an even integer >= 16, got {n}")
-        if n**d > self.max_points:
+        if n**d > DEFAULT_MAX_POINTS:
             raise ValueError(
-                f"grid has {n**d} points, exceeding the budget of {self.max_points}"
+                f"grid has {n**d} points, exceeding the budget of {DEFAULT_MAX_POINTS}"
             )
 
     @property
@@ -108,9 +105,6 @@ class GridSpec:
 
     def radius_grid(self) -> np.ndarray:
         return np.sqrt(sum(x**2 for x in self.coord_grids()))
-
-    def freq_radius_grid(self) -> np.ndarray:
-        return np.sqrt(sum(x**2 for x in self.freq_grids()))
 
     @property
     def max_inscribed_freq(self) -> float:
@@ -198,34 +192,6 @@ def inverse_transform(F: Field) -> Field:
     return Field(g, vals, PHYSICAL)
 
 
-def parseval_defect(f: Field) -> float:
-    """Relative defect of the discrete Parseval identity for a physical field."""
-    F = forward_transform(f)
-    lhs = f.grid.cell_volume * np.sum(np.abs(f.values) ** 2)
-    rhs = (f.grid.freq_cell_volume / (2 * np.pi) ** f.grid.dimension
-           * np.sum(np.abs(F.values) ** 2))
-    return abs(lhs - rhs) / max(lhs, 1e-300)
-
-
-def boundary_mass_ratio(f: Field) -> float:
-    """Max |f| on the outermost physical layer relative to the peak.
-
-    Test fields must decay inside the box; anything above ~1e-10 here means the
-    periodic truncation is felt.
-    """
-    if f.domain_tag != PHYSICAL:
-        raise ValueError("boundary_mass_ratio expects a physical field")
-    a = np.abs(f.values)
-    peak = a.max()
-    if peak == 0:
-        return 0.0
-    edge = 0.0
-    for ax in range(f.grid.dimension):
-        edge = max(edge, np.take(a, 0, axis=ax).max(),
-                   np.take(a, -1, axis=ax).max())
-    return float(edge / peak)
-
-
 def nudft_forward(f: Field, points: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Evaluate the forward transform at arbitrary frequency points.
 
@@ -269,8 +235,7 @@ class SpectralInterpolator:
         big = np.zeros((N,) * d, dtype=np.complex128)
         lo = (N - n) // 2
         big[(slice(lo, lo + n),) * d] = f.values
-        big_grid = GridSpec(d, pad_factor * g.half_width, N,
-                            max_points=max(N**d, g.max_points))
+        big_grid = GridSpec(d, pad_factor * g.half_width, N)
         spec = forward_transform(Field(big_grid, big, PHYSICAL)).values
         self.grid = g
         self.order = order

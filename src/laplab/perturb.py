@@ -1,6 +1,6 @@
-"""Perturbations V of the high-order Laplacian: admissibility diagnostics,
-the Birman-Schwinger solve (Id + R_0(z) V)^{-1} R_0(z), exact eigenvalue
-counts and scans, and resolvent sweeps for H = (-Delta)^m + V.
+"""Perturbations V of the high-order Laplacian: the Birman-Schwinger solve
+(Id + R_0(z) V)^{-1} R_0(z), exact eigenvalue counts and scans, and resolvent
+sweeps for H = (-Delta)^m + V.
 """
 
 from __future__ import annotations
@@ -15,23 +15,12 @@ from scipy.sparse.linalg import LinearOperator, eigsh, lgmres
 
 from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
 from .multiplier import apply_values, free_resolvent, pm_values
-from .spaces import (
-    CompositeNormConfig,
-    LorentzExponents,
-    WeightParams,
-    lorentz_norm,
-    mu_weight_field,
-    x_norm_upper,
-    xstar_norm,
-)
+from .spaces import CompositeNormConfig, x_norm_upper, xstar_norm
 
 __all__ = [
     "Potential",
-    "AdmissibilityConfig",
-    "AdmissibilityReport",
     "BsSolve",
     "example_potential",
-    "admissibility_check",
     "bs_solve",
     "apply_hamiltonian",
     "direct_eigs",
@@ -40,17 +29,15 @@ __all__ = [
     "EigenvalueCounter",
     "SweepRow",
     "lap_perturbed_sweep",
-    "radial_average",
 ]
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Real-valued multiplication perturbation with weak-Lorentz metadata."""
+    """Real-valued multiplication perturbation."""
 
     field: Field
     kind: str = "custom"            # weak_lorentz | bounded_compact | custom
-    q: Optional[float] = None
     support_radius: Optional[float] = None
 
     def __post_init__(self):
@@ -72,12 +59,6 @@ class Potential:
 
     def apply(self, u: Field) -> Field:
         return u.with_values(self.real_values() * u.values)
-
-    def weak_norm(self, q: Optional[float] = None) -> float:
-        q = q if q is not None else self.q
-        if q is None:
-            raise ValueError("no weak-Lorentz exponent declared")
-        return lorentz_norm(self.field, LorentzExponents(q, math.inf))
 
 
 #: largest relative rounding error of a staircase shell's grid measure
@@ -119,91 +100,7 @@ def example_potential(q: float, J: int, grid: GridSpec) -> Potential:
     if radius > 0.95 * grid.half_width:
         raise ValueError("shells reach the box boundary; enlarge the box")
     f = Field(grid, vals.reshape(grid.shape), PHYSICAL)
-    return Potential(f, kind="weak_lorentz", q=q, support_radius=radius)
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissibilityConfig:
-    norm_cfg: CompositeNormConfig
-    N_values: Sequence[float] = (0.0, 1.0)
-    gammas: Sequence[float] = (1.0, 0.1, 0.01)
-    eps_grid: Sequence[float] = (0.01, 0.03, 0.1, 0.3, 1.0)
-    cutoff_radius: Optional[float] = None   # R in the L2 compensator; default L/2
-    a_cap: float = 1e4
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    symmetry_defect: float
-    factorization_defect: float
-    smallness: list        # rows (N, gamma, eps, A, R); eps smallest on the grid
-    family_size: int
-
-    @property
-    def factorization_ok(self) -> bool:
-        return self.factorization_defect <= 1e-10
-
-
-def admissibility_check(V: Potential, cfg: AdmissibilityConfig,
-                        family: Sequence[Field]) -> AdmissibilityReport:
-    """Measured admissibility properties over a declared test family.
-
-    (1) symmetry defect of the pairing; (2) for each (N, gamma) the smallest
-    grid epsilon making the weighted smallness inequality hold with compensator
-    A <= a_cap at radius R; (3) the |V|^{1/2} factorization identity.
-    The report makes no universal claim: only the supplied family is tested.
-    """
-    grid = V.grid
-    w = grid.cell_volume
-    vals = V.real_values()
-
-    sym = 0.0
-    fac = 0.0
-    rootV = np.sqrt(np.abs(vals))
-    sgn = np.sign(vals)
-    for i in range(min(4, len(family))):
-        for j in range(min(4, len(family))):
-            phi, psi = family[i], family[j]
-            a = w * np.sum(vals * phi.values * np.conj(psi.values))
-            b = w * np.sum(phi.values * np.conj(vals * psi.values))
-            sym = max(sym, abs(a - b))
-            # <V f, g> = <B1 f, A1 g>, A1 = |V|^{1/2}, B1 = sgn(V)|V|^{1/2}
-            c = w * np.sum((sgn * rootV * phi.values)
-                           * np.conj(rootV * psi.values))
-            fac = max(fac, abs(a - c))
-
-    R = cfg.cutoff_radius if cfg.cutoff_radius is not None else grid.half_width / 2
-    ball = grid.radius_grid() <= R
-    rows = []
-    for N in cfg.N_values:
-        for gamma in cfg.gammas:
-            mu = mu_weight_field(grid, WeightParams(N, gamma))
-            needed_A = {eps: 0.0 for eps in cfg.eps_grid}
-            for u in family:
-                Vu = u.with_values(vals * u.values)
-                lhs = x_norm_upper(Vu.with_values(mu * Vu.values), cfg.norm_cfg)
-                rhs1 = xstar_norm(u.with_values(mu * u.values), cfg.norm_cfg)
-                rhs2 = float(np.sqrt(w * np.sum(np.abs(u.values[ball]) ** 2)))
-                for eps in cfg.eps_grid:
-                    deficit = lhs - eps * rhs1
-                    if deficit > 0:
-                        if rhs2 <= 0:
-                            needed_A[eps] = math.inf
-                        else:
-                            needed_A[eps] = max(needed_A[eps], deficit / rhs2)
-            chosen = None
-            for eps in sorted(cfg.eps_grid):
-                if needed_A[eps] <= cfg.a_cap:
-                    chosen = (N, gamma, eps, needed_A[eps], R)
-                    break
-            if chosen is None:
-                chosen = (N, gamma, math.inf, math.inf, R)
-            rows.append(chosen)
-    return AdmissibilityReport(sym, fac, rows, len(family))
+    return Potential(f, kind="weak_lorentz", support_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +399,3 @@ def _last_decade_drift(sup_by_eps: dict) -> float:
         return math.nan
     return max(vals) / min(vals)
 
-
-def radial_average(u: Field, R: float) -> float:
-    """(1/R) integral_{|x| <= R} |u|^2: the Rellich-condition functional."""
-    mask = u.grid.radius_grid() <= R
-    return float(u.grid.cell_volume * np.sum(np.abs(u.values[mask]) ** 2) / R)

@@ -1,18 +1,17 @@
-"""Norm evaluators: Lorentz, dyadic-shell B and B*, the composite X/X* scales,
-and the regularized polynomial weight used for eigenfunction decay.
+"""Norm evaluators: Lorentz, dyadic-shell B and B*, and the composite X/X*
+scales.
 
 All norms are discrete quadrature versions: |f| values carry cell volume h^d.
 The Lorentz integral is evaluated exactly over the plateaus of the sorted value
 list (no binning).  The intersection norm for X* is normalized as the max of
 its two components; the sum norm for X is only ever reported as an upper bound,
-either from an explicit witness splitting or from a small family of smooth
-frequency splittings.
+from the two trivial splittings and a small family of smooth frequency
+splittings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,14 +21,11 @@ from .multiplier import apply_symbol, apply_values, bessel_values, pm_values
 __all__ = [
     "LorentzExponents",
     "DyadicShells",
-    "WeightParams",
     "CompositeNormConfig",
     "lorentz_norm",
     "lp_norm",
     "b_norm",
     "bstar_norm",
-    "mu_weight",
-    "mu_weight_field",
     "xstar_norm",
     "x_norm_upper",
     "slab_l2_profile",
@@ -54,32 +50,6 @@ class LorentzExponents:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not (self.q == INF or self.q >= 1):
             raise ValueError(f"q must be >= 1 or inf, got {self.q}")
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    N: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N}")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-
-
-def mu_weight(t, w: WeightParams):
-    """(1+t^2)^N / (1+gamma t^2)^N, the weight interpolating 1 and (1+t^2)^N."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("mu_weight expects t >= 0")
-    out = ((1.0 + t**2) / (1.0 + w.gamma * t**2)) ** w.N
-    return out if out.ndim else float(out)
-
-
-def mu_weight_field(grid: GridSpec, w: WeightParams) -> np.ndarray:
-    """The radial weight mu(|x|) on the physical lattice."""
-    return mu_weight(grid.radius_grid(), w)
 
 
 class DyadicShells:
@@ -227,27 +197,14 @@ def _b_part(f2: Field, cfg: CompositeNormConfig) -> float:
     return b_norm(apply_symbol(bessel_values(f2.grid, -float(cfg.m)), f2))
 
 
-def x_norm_upper(
-    f: Field,
-    cfg: CompositeNormConfig,
-    witness: Optional[tuple[Field, Field]] = None,
-) -> float:
+def x_norm_upper(f: Field, cfg: CompositeNormConfig) -> float:
     """Upper bound for the sum-space norm of X.
 
-    With a witness f = f1 + f2, returns the witnessed value.  Without one,
-    minimizes over the two trivial splittings and a one-parameter family of
+    Minimizes over the two trivial splittings and a one-parameter family of
     smooth frequency splittings concentrated near the sphere |xi|^{2m} =
     SPLIT_LAMBDA.  Always an upper bound for the true infimum.
     """
     _require_physical(f)
-    if witness is not None:
-        f1, f2 = witness
-        mismatch = np.max(np.abs(f1.values + f2.values - f.values))
-        scale = max(np.max(np.abs(f.values)), 1e-300)
-        if mismatch / scale > 1e-10:
-            raise ValueError(f"witness does not sum to f (defect {mismatch:.2e})")
-        return _lorentz_part(f1, cfg) + _b_part(f2, cfg)
-
     # the trivial splittings (f, 0) and (0, f)
     best = min(_lorentz_part(f, cfg), _b_part(f, cfg))
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from numpy.polynomial.legendre import leggauss
 
 from laplab.lattice import Field, GridSpec, PHYSICAL, sample
+
+# few examples, no time limit, and the same examples on every run
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
+                    database=None)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from laplab import boundary
@@ -35,11 +35,7 @@ from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
 from laplab.multiplier import pm_values
 from laplab.spaces import b_norm, bstar_norm
 
-from conftest import gaussian_field, unit_sphere_rule
-
-# few examples, no time limit, and the same examples on every run
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
-                    database=None)
+from conftest import PROPERTY, gaussian_field, unit_sphere_rule
 
 
 class TestSphereQuadrature:

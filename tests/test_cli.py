@@ -139,6 +139,19 @@ class TestExitCodes:
         ("norms", "family.count=1.5", "family.count"),
         ("norms", "family.seed=-1", "family.seed"),
         ("norms", "family.modulation_radius=0", "family.modulation_radius"),
+        ("sweep", "potential.kind=\"example\"", "grid.points_per_axis"),
+        pytest.param("sweep",
+                     ["potential.kind=\"example\"", "grid.half_width=2",
+                      "grid.points_per_axis=256", "potential.J=30"],
+                     "grid.half_width", id="sweep-staircase-outside-box"),
+        ("sweep", "potential.q=0.5", "potential.q"),
+        ("sweep", "potential.J=0", "potential.J"),
+        pytest.param("sweep",
+                     ["potential.kind=\"gaussian\"", "potential.width=0"],
+                     "potential.width", id="sweep-gaussian-zero-width"),
+        ("sweep", "potential.radius=0", "potential.radius"),
+        ("spectrum", "spectrum.interval=[-0.5,-8]", "spectrum.interval"),
+        ("spectrum", "spectrum.interval=[-1,1]", "spectrum.interval"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, capsys, command,
                                          setting, field):

@@ -10,9 +10,8 @@ from laplab.lattice import (Field, GridSpec, PHYSICAL, forward_transform,
 from laplab.multiplier import (CutoffSpec, apply_symbol, apply_values,
                                bessel_values, chi_values, free_resolvent,
                                pm_values, shell_radial_resolution)
-from laplab.spaces import (LorentzExponents, WeightParams, b_norm, bstar_norm,
-                           lorentz_norm, mu_weight_field,
-                           stein_tomas_exponent)
+from laplab.spaces import (LorentzExponents, b_norm, bstar_norm,
+                           lorentz_norm, stein_tomas_exponent)
 
 from conftest import gaussian_field
 
@@ -182,11 +181,12 @@ class TestChiLambda:
         gammas = (1.0, 0.1, 0.01, 1e-5, 1e-6, 1e-8)
         saturated = [g_ for g_ in gammas if g_ <= gchi.half_width ** (-2)]
         assert len(saturated) >= 2
+        r = gchi.radius_grid()
         for N in (1.0, 2.0):
             consts = {"lorentz": {}, "b": {}, "bstar": {}}
             for gamma in gammas:
-                w = WeightParams(N, gamma)
-                mu = mu_weight_field(gchi, w)
+                # the weight interpolating 1 and (1 + |x|^2)^N
+                mu = ((1.0 + r**2) / (1.0 + gamma * r**2)) ** N
                 worst = {"lorentz": 0.0, "b": 0.0, "bstar": 0.0}
                 for _, f in fam:
                     conj = f.with_values(mu * apply_symbol(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -14,23 +14,21 @@ from laplab import perturb
 from laplab.lattice import Field, GridSpec, PHYSICAL
 from laplab.multiplier import free_resolvent, pm_values
 from laplab.perturb import (
-    AdmissibilityConfig,
     EigenvalueCounter,
     Potential,
-    admissibility_check,
     apply_hamiltonian,
     bs_solve,
     direct_eigs,
     eigen_scan,
     example_potential,
     lap_perturbed_sweep,
-    radial_average,
     _negative_inertia,
 )
-from laplab.spaces import CompositeNormConfig, xstar_norm, x_norm_upper
+from laplab.spaces import (CompositeNormConfig, LorentzExponents, lorentz_norm,
+                           xstar_norm, x_norm_upper)
 from laplab.family import FamilySpec, standard_family
 
-from conftest import gaussian_field
+from conftest import PROPERTY, gaussian_field
 
 
 def well_potential(grid, depth=-10.0, radius=1.0) -> Potential:
@@ -112,10 +110,6 @@ class TestPotential:
         out = V.apply(gauss2)
         assert np.allclose(out.values, V.real_values() * gauss2.values)
 
-    def test_weak_norm_requires_exponent(self, g2):
-        with pytest.raises(ValueError, match="exponent"):
-            well_potential(g2).weak_norm()
-
 
 class TestExamplePotential:
     def test_single_shell_measure(self, g2):
@@ -133,7 +127,8 @@ class TestExamplePotential:
 
     def test_weak_norm_bounded_in_J(self, g2_fine):
         # the staircase stays in weak-L^q uniformly as shells accumulate
-        norms = [example_potential(2.0, J, g2_fine).weak_norm()
+        weak = LorentzExponents(2.0, math.inf)
+        norms = [lorentz_norm(example_potential(2.0, J, g2_fine).field, weak)
                  for J in (4, 16, 64)]
         assert max(norms) < 2.0 * min(norms)
         assert max(norms) < 10.0
@@ -156,37 +151,6 @@ class TestExamplePotential:
             example_potential(0.5, 1, g2)
         with pytest.raises(ValueError, match="J"):
             example_potential(2.0, 0, g2)
-
-
-class TestAdmissibility:
-    def test_zero_potential(self, g2):
-        fam = [f for _, f in standard_family(g2, FamilySpec(count=4, seed=0))]
-        cfg = AdmissibilityConfig(norm_cfg=CompositeNormConfig(m=1, d=2))
-        rep = admissibility_check(zero_potential(g2), cfg, fam)
-        assert rep.symmetry_defect == 0.0
-        assert rep.factorization_ok
-        # V = 0 needs no compensator at the smallest epsilon
-        assert all(row[3] == 0.0 for row in rep.smallness)
-
-    def test_factorization_identity(self, g2_fine):
-        # < V f, g > = < sgn(V)|V|^{1/2} f, |V|^{1/2} g > holds pointwise
-        fam = [f for _, f in
-               standard_family(g2_fine, FamilySpec(count=4, seed=1))]
-        cfg = AdmissibilityConfig(norm_cfg=CompositeNormConfig(m=1, d=2))
-        V = example_potential(2.0, 8, g2_fine)
-        rep = admissibility_check(V, cfg, fam)
-        assert rep.factorization_defect <= 1e-10
-        assert rep.symmetry_defect <= 1e-10
-        assert rep.family_size == 4
-
-    def test_smallness_rows_cover_grid(self, g2, gauss2):
-        cfg = AdmissibilityConfig(norm_cfg=CompositeNormConfig(m=1, d=2),
-                                  N_values=(0.0, 1.0), gammas=(1.0, 0.1))
-        rep = admissibility_check(well_potential(g2, -1.0), cfg, [gauss2])
-        assert len(rep.smallness) == 4
-        for N, gamma, eps, A, R in rep.smallness:
-            assert R == pytest.approx(g2.half_width / 2)
-            assert A < math.inf
 
 
 class TestBsSolve:
@@ -254,24 +218,6 @@ class TestHamiltonian:
         inner = float(np.sum(u[r <= 2.0]))
         outer = float(np.sum(u[r > 0.5 * g3_well.half_width]))
         assert inner > 10.0 * outer
-
-
-class TestRadialAverage:
-    def test_constant_field_d2(self, g2):
-        ones = Field(g2, np.ones(g2.shape, dtype=complex), PHYSICAL)
-        for R in (2.0, 4.0):
-            assert radial_average(ones, R) == pytest.approx(np.pi * R,
-                                                            rel=0.05)
-
-    def test_localized_field_decays(self, g2, gauss2):
-        # for an L^2 field the averages fall off like 1/R once the mass
-        # is exhausted: the Rellich-type vanishing signature
-        a3, a6 = radial_average(gauss2, 3.0), radial_average(gauss2, 6.0)
-        assert a6 == pytest.approx(0.5 * a3, rel=0.05)
-
-
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
-                    database=None)
 
 
 class TestInertiaCount:
