@@ -563,12 +563,14 @@ def cmd_spectrum(cfg) -> Report:
     gate = float(sc["oracle_rel"])
     res = eigen_scan(V, m, interval, steps=steps)
     grid_step = (interval[1] - interval[0]) / (steps - 1)
-    oracle = []
+    oracle, converged, matvecs = [], None, 0
     judged = not V.is_zero() and interval[1] < 0
     if judged:
         # the count below b sizes Lanczos to reach every eigenvalue there
         k = max(6, int(res.counts[-1]) + 1)
-        oracle = [e for e in direct_eigs(m, V, k=k)
+        lanczos = direct_eigs(m, V, k=k)
+        converged, matvecs = lanczos.converged, lanczos.matvecs
+        oracle = [e for e in lanczos.values
                   if interval[0] <= e <= interval[1]]
     cands = [lam for lam, _ in res.candidates]
     rows = []
@@ -582,13 +584,15 @@ def cmd_spectrum(cfg) -> Report:
     # interval has a partner within the gate; Lanczos multiplicities are not
     # compared, since a single-start Lanczos can miss copies of an eigenvalue
     ok = not judged or (
-        all(r[3] <= gate for r in rows)
+        converged
+        and all(r[3] <= gate for r in rows)
         and all(min((abs(c - e) / abs(e) for c in cands), default=np.inf)
                 <= gate for e in oracle))
     header = ["candidate", "multiplicity", "probe_halving_shift",
               "oracle_rel"]
     return Report(header, rows,
                   {"candidates": rows, "oracle": [float(e) for e in oracle],
+                   "oracle_converged": converged, "oracle_matvecs": matvecs,
                    "support_nodes": res.support_nodes, "grid_step": grid_step,
                    "warning": res.warning},
                   verdict="ok", ok=ok,

@@ -3,14 +3,15 @@ Bessel potentials (1 + |xi|^2)^{alpha/2}, smooth shell cutoffs around
 {|xi|^{2m} = lambda}, and the off-axis free resolvent (|xi|^{2m} - z)^{-1}.
 
 Every multiplier is an array on the sorted frequency lattice (the ones that
-are reused are cached and read-only), and every multiply goes through
-``apply_values``.
+are reused are cached and read-only, each with its FFT-ordered copy beside
+it), and every multiply goes through ``apply_values``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "CutoffSpec",
     "apply_values",
     "apply_symbol",
+    "fft_order",
     "free_resolvent",
     "pm_values",
     "bessel_values",
@@ -34,20 +36,38 @@ RESOLVENT_GUARD = 1e-8
 SHELL_MIN_STEPS = 8
 
 
-def _read_only(vals: np.ndarray) -> np.ndarray:
-    vals.setflags(write=False)
+#: the FFT-ordered copy of each cached symbol, keyed by the id of the sorted
+#: array; an entry goes when its array is freed, so no reused id finds it
+_FFT_ORDER: dict[int, np.ndarray] = {}
+
+
+def _cached(vals: np.ndarray) -> np.ndarray:
+    """Marks a symbol that a cache hands out read-only, and keeps its
+    FFT-ordered copy beside it."""
+    fft = np.fft.ifftshift(vals)
+    for a in (vals, fft):
+        a.setflags(write=False)
+    _FFT_ORDER[id(vals)] = fft
+    weakref.finalize(vals, _FFT_ORDER.pop, id(vals), None)
     return vals
+
+
+def fft_order(values: np.ndarray) -> np.ndarray:
+    """``values`` moved from the sorted frequency lattice to FFT order: the
+    copy kept beside a cached symbol, else a new one."""
+    fft = _FFT_ORDER.get(id(values))
+    return np.fft.ifftshift(values) if fft is None else fft
 
 
 @functools.lru_cache(maxsize=4)
 def pm_values(grid: GridSpec, m: int) -> np.ndarray:
-    return _read_only(sum(x**2 for x in grid.freq_grids()) ** m)
+    return _cached(sum(x**2 for x in grid.freq_grids()) ** m)
 
 
 @functools.lru_cache(maxsize=4)  # the four Bessel orders of one norm config
 def bessel_values(grid: GridSpec, alpha: float) -> np.ndarray:
     """The Bessel potential symbol (1 + |xi|^2)^{alpha/2}."""
-    return _read_only((1.0 + pm_values(grid, 1)) ** (alpha / 2.0))
+    return _cached((1.0 + pm_values(grid, 1)) ** (alpha / 2.0))
 
 
 def _smooth_ramp(u: np.ndarray) -> np.ndarray:
@@ -108,11 +128,11 @@ def apply_values(values: np.ndarray, f: Field) -> Field:
 
     ``values`` lives on the sorted frequency lattice.  For a physical field
     the transform's shifts and scale factors (n^d h^d (2L)^{-d} = 1) cancel,
-    so the product is one FFT pair with the symbol moved to FFT order.
+    so the product is one FFT pair with the symbol in FFT order.
     """
     if f.domain_tag == PHYSICAL:
         u = np.fft.ifftn(f.values)
-        u *= np.fft.ifftshift(values)
+        u *= fft_order(values)
         return f.with_values(np.fft.fftn(u, out=u))
     return f.with_values(f.values * values)
 
@@ -136,7 +156,7 @@ def _resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
         raise ValueError(
             f"z = {z} is within {gap:.2e} of a lattice symbol value; refusing"
         )
-    return _read_only(1.0 / denom)
+    return _cached(1.0 / denom)
 
 
 def free_resolvent(z: complex, m: int, f: Field) -> Field:

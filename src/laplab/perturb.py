@@ -11,10 +11,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork
-from scipy.sparse.linalg import LinearOperator, eigsh, lgmres
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 lgmres)
 
 from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
-from .multiplier import apply_values, free_resolvent, pm_values
+from .multiplier import apply_values, fft_order, free_resolvent, pm_values
 from .spaces import CompositeNormConfig, x_norm_upper, xstar_norm
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "example_potential",
     "bs_solve",
     "apply_hamiltonian",
+    "LanczosEigs",
     "direct_eigs",
     "EigenScanResult",
     "eigen_scan",
@@ -169,24 +171,58 @@ def apply_hamiltonian(m: int, V: Potential, u: Field) -> Field:
     return u.with_values(pmu.values + V.real_values() * u.values)
 
 
-def direct_eigs(m: int, V: Potential, k: int = 4) -> np.ndarray:
-    """Lowest eigenvalues of the discrete H = P_m(D) + V (Lanczos on the real
-    subspace; the operator commutes with conjugation for real V)."""
-    grid = V.grid
-    shape = grid.shape
+def _real_hamiltonian(m: int, V: Potential):
+    """H = P_m(D) + V on raveled real fields, as one rfftn/irfftn pair.
+
+    The symbol |xi|^{2m} is real and even on the lattice, the Nyquist planes
+    included, so P_m(D) maps real fields to real fields; on the half
+    spectrum of the last axis it is the cached FFT-ordered symbol cut to its
+    first n//2 + 1 columns."""
+    shape = V.grid.shape
+    half = fft_order(pm_values(V.grid, m))[..., :shape[-1] // 2 + 1]
+    v = np.ascontiguousarray(V.real_values())
+
+    def matvec(w: np.ndarray) -> np.ndarray:
+        u = w.reshape(shape)
+        spec = np.fft.rfftn(u)
+        spec *= half
+        out = np.fft.irfftn(spec)    # n is even: the default length is n
+        out += v * u
+        return out.ravel()
+
+    return matvec
+
+
+@dataclass(frozen=True)
+class LanczosEigs:
+    values: np.ndarray     # ascending; without convergence, those that did
+    matvecs: int
+    converged: bool
+
+
+def direct_eigs(m: int, V: Potential, k: int = 4) -> LanczosEigs:
+    """Lowest eigenvalues of the discrete H = P_m(D) + V by Lanczos (ARPACK)
+    on real fields, which H maps to real fields for real V; reports the
+    matvecs it took and whether ARPACK converged."""
+    apply = _real_hamiltonian(m, V)
+    matvecs = 0
 
     def matvec(w):
-        u = Field(grid, w.reshape(shape), PHYSICAL)
-        return apply_hamiltonian(m, V, u).values.real.ravel()
+        nonlocal matvecs
+        matvecs += 1
+        return apply(w)
 
-    n_tot = int(np.prod(shape))
+    n_tot = V.grid.points_per_axis ** V.grid.dimension
     op = LinearOperator((n_tot, n_tot), matvec=matvec, dtype=np.float64)
     # a seeded random start keeps reruns byte-identical; a constant start
     # would confine Lanczos to the symmetric subspace
     v0 = np.random.default_rng(0).standard_normal(n_tot)
-    vals = eigsh(op, k=k, which="SA", v0=v0, return_eigenvectors=False,
-                 tol=1e-9)
-    return np.sort(vals)
+    try:
+        vals = eigsh(op, k=k, which="SA", v0=v0, return_eigenvectors=False,
+                     tol=1e-9)
+    except ArpackNoConvergence as err:
+        return LanczosEigs(np.sort(err.eigenvalues), matvecs, False)
+    return LanczosEigs(np.sort(vals), matvecs, True)
 
 
 # ---------------------------------------------------------------------------

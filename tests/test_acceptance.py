@@ -215,7 +215,7 @@ def test_criterion_08_eigenvalue_oracle(g3_well):
     V = well_potential(g3_well, depth=-8.0)
     scan = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
     found = min(lam for lam, _ in scan.candidates)
-    oracle = direct_eigs(1, V, k=3)[0]
+    oracle = direct_eigs(1, V, k=3).values[0]
     rel = abs(found - oracle) / abs(oracle)
     report(8, "square-well eigenvalue oracle", rel < 0.01,
            f"scan {found:.4f} vs lanczos {oracle:.4f}, rel {rel:.2%}")

@@ -1,6 +1,7 @@
 """Command-line driver: config handling, report formats, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -313,6 +314,7 @@ class TestSpectrumCommand:
                           "oracle_rel"]
         s = read_summary(out / "spectrum.json")
         assert s["ok"] is True and s["oracle"]
+        assert s["oracle_converged"] is True and s["oracle_matvecs"] > 0
         assert s["checked"] == len(rows) + len(s["oracle"])
         for cand, mult, width, rel in rows:
             assert int(mult) >= 1
@@ -328,12 +330,34 @@ class TestSpectrumCommand:
         # the match is two-sided: a Lanczos eigenvalue without a candidate
         # fails the run as much as a candidate without a Lanczos eigenvalue
         real = cli.direct_eigs
-        monkeypatch.setattr(cli, "direct_eigs",
-                            lambda m, V, k: fake(real(m, V, k)))
+
+        def faked(m, V, k):
+            res = real(m, V, k)
+            return dataclasses.replace(res, values=fake(res.values))
+
+        monkeypatch.setattr(cli, "direct_eigs", faked)
         code, _ = run(["spectrum", "--set", "potential.kind=well",
                        "--set", "potential.depth=-8",
                        "--set", "grid.points_per_axis=32"], tmp_path, "sp")
         assert code == EXIT_CRITERIA
+
+    def test_unconverged_oracle_fails(self, tmp_path, monkeypatch):
+        # eigenvalues that match every candidate judge nothing when ARPACK
+        # did not converge
+        real = cli.direct_eigs
+        monkeypatch.setattr(
+            cli, "direct_eigs",
+            lambda m, V, k: dataclasses.replace(real(m, V, k),
+                                                converged=False))
+        code, out = run(["spectrum", "--set", "potential.kind=well",
+                         "--set", "potential.depth=-8",
+                         "--set", "grid.points_per_axis=32"], tmp_path, "sp")
+        assert code == EXIT_CRITERIA
+        s = read_summary(out / "spectrum.json")
+        assert s["ok"] is False and s["oracle_converged"] is False
+        assert s["oracle_matvecs"] > 0
+        _, _, rows = read_table(out / "spectrum.csv")
+        assert all(float(rel) <= 1e-10 for *_, rel in rows)
 
 
 class TestResolventCommand:
@@ -430,7 +454,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.5.0", "family/1"]
+                                   "laplab/0.6.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

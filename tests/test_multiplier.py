@@ -4,12 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+from laplab import multiplier
 from laplab.family import FamilySpec, standard_family
 from laplab.lattice import (Field, GridSpec, PHYSICAL, forward_transform,
                             inverse_transform, sample)
 from laplab.multiplier import (CutoffSpec, apply_symbol, apply_values,
-                               bessel_values, chi_values, free_resolvent,
-                               pm_values, shell_radial_resolution)
+                               bessel_values, chi_values, fft_order,
+                               free_resolvent, pm_values,
+                               shell_radial_resolution)
 from laplab.spaces import (LorentzExponents, b_norm, bstar_norm,
                            lorentz_norm, stein_tomas_exponent)
 
@@ -69,6 +71,19 @@ class TestApplyValues:
         assert out.domain_tag == PHYSICAL
         rel = np.max(np.abs(out.values - ref.values)) / np.max(np.abs(ref.values))
         assert rel <= 1e-14
+
+    def test_cached_symbols_keep_their_fft_order(self, g2, gauss2):
+        pm = pm_values(g2, 1)
+        assert fft_order(pm) is fft_order(pm_values(g2, 1))
+        assert np.array_equal(fft_order(pm), np.fft.ifftshift(pm))
+        plain = np.array(pm)
+        assert fft_order(plain) is not fft_order(plain)
+        # a symbol the cache drops takes its copy with it
+        free_resolvent(-1.0, 1, gauss2)
+        kept = len(multiplier._FFT_ORDER)
+        for z in (-2.0, -3.0, -4.0):
+            free_resolvent(z, 1, gauss2)
+        assert len(multiplier._FFT_ORDER) == kept
 
 
 class TestFreeResolvent:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.linalg.lapack import dsytrf
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from laplab import perturb
 from laplab.lattice import Field, GridSpec, PHYSICAL
@@ -193,9 +193,51 @@ class TestHamiltonian:
         b = w * np.sum(u.values * np.conj(apply_hamiltonian(1, V, v).values))
         assert a == pytest.approx(b, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [GridSpec(2, 6.0, 32),
+                                      GridSpec(3, 6.0, 16),
+                                      GridSpec(4, 6.0, 16)],
+                             ids=["d2", "d3", "d4"])
+    def test_real_matvec_matches_apply_hamiltonian(self, grid, m):
+        # the oracle's rfftn/irfftn matvec against the complex multiply path
+        V = core_shell_potential(grid)
+        w = np.random.default_rng(grid.dimension + 10 * m).standard_normal(
+            grid.points_per_axis**grid.dimension)
+        ref = apply_hamiltonian(m, V, Field(grid, w.reshape(grid.shape),
+                                            PHYSICAL)).values.real.ravel()
+        got = perturb._real_hamiltonian(m, V)(w)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_direct_eigs_matches_dense_matrix(self):
+        # H assembled column by column from apply_hamiltonian; a random V
+        # leaves no eigenvalue multiple, which a single-start Lanczos could
+        # report once
+        grid = GridSpec(2, 5.0, 16)
+        rng = np.random.default_rng(7)
+        V = Potential(field=Field(grid, rng.uniform(-8.0, 2.0, grid.shape)
+                                  .astype(complex), PHYSICAL))
+        n_tot = grid.points_per_axis**grid.dimension
+        H = np.column_stack([
+            apply_hamiltonian(1, V, Field(grid, e.reshape(grid.shape),
+                                          PHYSICAL)).values.real.ravel()
+            for e in np.eye(n_tot)])
+        dense = np.linalg.eigvalsh(0.5 * (H + H.T))[:6]
+        res = direct_eigs(1, V, k=6)
+        assert res.converged and res.matvecs > 0
+        assert np.all(np.abs(res.values - dense)
+                      <= 1e-10 * np.maximum(1.0, np.abs(dense)))
+
+    def test_unconverged_lanczos_is_reported(self, g3_well, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("forced", np.array([0.5, -1.0]), None)
+
+        monkeypatch.setattr(perturb, "eigsh", no_convergence)
+        res = direct_eigs(1, well_potential(g3_well, depth=-4.0), k=3)
+        assert not res.converged and res.values.tolist() == [-1.0, 0.5]
+
     def test_direct_eigs_lower_bound(self, g3_well):
         V = well_potential(g3_well, depth=-4.0)
-        eigs = direct_eigs(1, V, k=3)
+        eigs = direct_eigs(1, V, k=3).values
         assert np.all(np.diff(eigs) >= -1e-9)
         assert eigs[0] >= -4.0 - 1e-6
 
@@ -239,7 +281,7 @@ class TestInertiaCount:
 
     def test_dense_oracle_is_the_lanczos_spectrum(self):
         V = core_shell_potential(GridSpec(2, 6.0, 32))
-        lanczos = direct_eigs(1, V, k=3)
+        lanczos = direct_eigs(1, V, k=3).values
         assert dense_spectrum(V)[:3] == pytest.approx(lanczos, rel=1e-9)
 
     @PROPERTY
@@ -312,14 +354,14 @@ class TestEigenScan:
     def test_well_ground_state_matches_lanczos(self, g3_well):
         V = well_potential(g3_well, depth=-8.0)
         res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
-        oracle = direct_eigs(1, V, k=3)
+        oracle = direct_eigs(1, V, k=3).values
         assert res.candidates == [(pytest.approx(oracle[0], rel=1e-10), 1)]
         assert oracle[1] > -0.5
 
     def test_d2_well_matches_lanczos_with_multiplicity(self, g2):
         V = well_potential(g2, depth=-8.0)
         res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
-        oracle = direct_eigs(1, V, k=6)
+        oracle = direct_eigs(1, V, k=6).values
         inside = oracle[oracle <= -0.5]
         assert [m for _, m in res.candidates] == [1, 2]
         assert sum(m for _, m in res.candidates) == len(inside)
