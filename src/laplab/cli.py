@@ -236,7 +236,7 @@ def validate_config(cfg: dict) -> list:
             errors.append(f"spectrum.interval: must avoid 0, got {interval}")
     _num(cfg, "spectrum.steps", 2, integer=True, errors=errors)
     _num(cfg, "spectrum.oracle_rel", above=0, errors=errors)
-    _num(cfg, "potential_report.q", 1, errors=errors)
+    _num(cfg, "potential_report.q", above=1, errors=errors)
     _num_list(cfg, "potential_report.truncations", 1, integer=True,
               errors=errors)
     _num(cfg, "potential_report.reference", 1, integer=True, errors=errors)

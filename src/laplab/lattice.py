@@ -16,8 +16,9 @@ that checker phase is exactly a half-period shift of the input, so
 
 For n a power of two both agree bit for bit with the explicit-phase form; other
 even n agree to rounding.  Physical values are stored on the sorted coordinate
-lattice, spectral values on the sorted frequency lattice, one axis per
-dimension.
+lattice, spectral fields on the sorted frequency lattice, one axis per
+dimension.  ``freq_grids`` alone is in FFT order (zero frequency first), the
+order of every Fourier symbol that a multiplier applies.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class GridSpec:
                            indexing="ij", sparse=True)
 
     def freq_grids(self) -> tuple[np.ndarray, ...]:
-        return np.meshgrid(*([self.axis_freqs()] * self.dimension),
+        """The frequency lattice in FFT order, zero frequency first."""
+        return np.meshgrid(*([np.fft.ifftshift(self.axis_freqs())]
+                             * self.dimension),
                            indexing="ij", sparse=True)
 
     def radius_grid(self) -> np.ndarray:

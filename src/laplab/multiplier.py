@@ -2,16 +2,15 @@
 Bessel potentials (1 + |xi|^2)^{alpha/2}, smooth shell cutoffs around
 {|xi|^{2m} = lambda}, and the off-axis free resolvent (|xi|^{2m} - z)^{-1}.
 
-Every multiplier is an array on the sorted frequency lattice (the ones that
-are reused are cached and read-only, each with its FFT-ordered copy beside
-it), and every multiply goes through ``apply_values``.
+Every multiplier is an array on the frequency lattice in FFT order (zero
+frequency first, as ``GridSpec.freq_grids``); the ones that are reused are
+cached and read-only, and every multiply goes through ``apply_values``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "CutoffSpec",
     "apply_values",
     "apply_symbol",
-    "fft_order",
     "free_resolvent",
     "pm_values",
     "bessel_values",
@@ -36,27 +34,10 @@ RESOLVENT_GUARD = 1e-8
 SHELL_MIN_STEPS = 8
 
 
-#: the FFT-ordered copy of each cached symbol, keyed by the id of the sorted
-#: array; an entry goes when its array is freed, so no reused id finds it
-_FFT_ORDER: dict[int, np.ndarray] = {}
-
-
 def _cached(vals: np.ndarray) -> np.ndarray:
-    """Marks a symbol that a cache hands out read-only, and keeps its
-    FFT-ordered copy beside it."""
-    fft = np.fft.ifftshift(vals)
-    for a in (vals, fft):
-        a.setflags(write=False)
-    _FFT_ORDER[id(vals)] = fft
-    weakref.finalize(vals, _FFT_ORDER.pop, id(vals), None)
+    """Marks a symbol that a cache hands out read-only."""
+    vals.setflags(write=False)
     return vals
-
-
-def fft_order(values: np.ndarray) -> np.ndarray:
-    """``values`` moved from the sorted frequency lattice to FFT order: the
-    copy kept beside a cached symbol, else a new one."""
-    fft = _FFT_ORDER.get(id(values))
-    return np.fft.ifftshift(values) if fft is None else fft
 
 
 @functools.lru_cache(maxsize=4)
@@ -124,17 +105,16 @@ def chi_values(grid: GridSpec, spec: CutoffSpec) -> np.ndarray:
 
 
 def apply_values(values: np.ndarray, f: Field) -> Field:
-    """The one Fourier-multiply path; output returned in the input's domain.
+    """The one Fourier-multiply path, on a physical field.
 
-    ``values`` lives on the sorted frequency lattice.  For a physical field
-    the transform's shifts and scale factors (n^d h^d (2L)^{-d} = 1) cancel,
-    so the product is one FFT pair with the symbol in FFT order.
+    ``values`` is in FFT order.  The transform's shifts and scale factors
+    (n^d h^d (2L)^{-d} = 1) cancel, so the product is one FFT pair.
     """
-    if f.domain_tag == PHYSICAL:
-        u = np.fft.ifftn(f.values)
-        u *= fft_order(values)
-        return f.with_values(np.fft.fftn(u, out=u))
-    return f.with_values(f.values * values)
+    if f.domain_tag != PHYSICAL:
+        raise ValueError("apply_values expects a physical field")
+    u = np.fft.ifftn(f.values)
+    u *= values
+    return f.with_values(np.fft.fftn(u, out=u))
 
 
 def apply_symbol(values: np.ndarray, f: Field) -> Field:

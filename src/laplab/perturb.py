@@ -14,8 +14,8 @@ from scipy.linalg.lapack import dsytrf, dsytrf_lwork
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
-from .lattice import Field, GridSpec, PHYSICAL, SPECTRAL, inverse_transform
-from .multiplier import apply_values, fft_order, free_resolvent, pm_values
+from .lattice import Field, GridSpec, PHYSICAL
+from .multiplier import apply_values, free_resolvent, pm_values
 from .spaces import CompositeNormConfig, x_norm_upper, xstar_norm
 
 __all__ = [
@@ -114,7 +114,6 @@ class BsSolve:
     z: complex
     u: Field
     residual: float          # relative residual of (Id + R_0 V) u = R_0 f
-    pde_residual: float      # relative residual of (P_m(D) + V - z) u = f
     iterations: int
     converged: bool
 
@@ -133,8 +132,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
     grid = f.grid
     rhs_field = free_resolvent(z, m, f)
     if V.is_zero():
-        return BsSolve(z, rhs_field, 0.0, _pde_residual(z, m, V, rhs_field, f),
-                       0, True)
+        return BsSolve(z, rhs_field, 0.0, 0, True)
     vvals = V.real_values()
     shape = grid.shape
 
@@ -156,14 +154,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
     resid = float(np.linalg.norm(matvec(sol) - rhs)
                   / max(np.linalg.norm(rhs), 1e-300))
     converged = info == 0 and resid <= max(tol * 10, 1e-12)
-    return BsSolve(z, u, resid, _pde_residual(z, m, V, u, f),
-                   counter["n"], converged)
-
-
-def _pde_residual(z, m, V, u, f) -> float:
-    lhs = apply_hamiltonian(m, V, u).values - z * u.values
-    return float(np.linalg.norm(lhs - f.values)
-                 / max(np.linalg.norm(f.values), 1e-300))
+    return BsSolve(z, u, resid, counter["n"], converged)
 
 
 def apply_hamiltonian(m: int, V: Potential, u: Field) -> Field:
@@ -176,10 +167,10 @@ def _real_hamiltonian(m: int, V: Potential):
 
     The symbol |xi|^{2m} is real and even on the lattice, the Nyquist planes
     included, so P_m(D) maps real fields to real fields; on the half
-    spectrum of the last axis it is the cached FFT-ordered symbol cut to its
-    first n//2 + 1 columns."""
+    spectrum of the last axis it is the cached symbol, which is in FFT order,
+    cut to its first n//2 + 1 columns."""
     shape = V.grid.shape
-    half = fft_order(pm_values(V.grid, m))[..., :shape[-1] // 2 + 1]
+    half = pm_values(V.grid, m)[..., :shape[-1] // 2 + 1]
     v = np.ascontiguousarray(V.real_values())
 
     def matvec(w: np.ndarray) -> np.ndarray:
@@ -275,12 +266,11 @@ class EigenvalueCounter:
         self.positive = int(np.count_nonzero(v_at > 0))
         n = grid.points_per_axis
         coords = np.unravel_index(idx, grid.shape)
-        # flat index of the centred offset x_j - x_k in the kernel array, at
-        # [k, j]: the gathered matrix transposed is in Fortran order, which
-        # dsytrf factors in place
+        # flat index of the offset x_j - x_k in the kernel array, which is in
+        # FFT order, at [k, j]: the gathered matrix transposed is in Fortran
+        # order, which dsytrf factors in place
         self.gather = np.ravel_multi_index(
-            tuple((c[None, :] - c[:, None] + n // 2) % n for c in coords),
-            grid.shape)
+            tuple((c[None, :] - c[:, None]) % n for c in coords), grid.shape)
         # the optimal workspace: dsytrf's default one is unblocked and slow
         self.lwork = int(dsytrf_lwork(max(self.nodes, 1), lower=1)[0])
 
@@ -292,8 +282,11 @@ class EigenvalueCounter:
         gap = self.pm - lam
         if not np.all(gap):
             raise ValueError(f"lambda = {lam} is a lattice value of P_m")
-        kernel = inverse_transform(Field(self.grid, 1.0 / gap, SPECTRAL))
-        a = np.take(kernel.values.real, self.gather).T
+        # the resolvent kernel (2L)^{-d} sum_xi exp(-i xi.x) / gap(xi) on
+        # every offset x, in FFT order like gap
+        kernel = np.fft.fftn(1.0 / gap)
+        kernel *= (1.0 / (2.0 * self.grid.half_width)) ** self.grid.dimension
+        a = np.take(kernel.real, self.gather).T
         a *= -self.grid.cell_volume
         a[np.diag_indices(self.nodes)] += self.inv_v
         ldu, ipiv, _ = dsytrf(a, lower=1, lwork=self.lwork, overwrite_a=1)

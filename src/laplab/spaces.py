@@ -11,6 +11,7 @@ splittings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,9 @@ class DyadicShells:
         return np.sqrt(self.grid.cell_volume * sums)
 
 
-_SHELL_CACHE: dict[tuple, DyadicShells] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _shells(grid: GridSpec) -> DyadicShells:
-    key = (grid.dimension, grid.half_width, grid.points_per_axis)
-    if key not in _SHELL_CACHE:
-        _SHELL_CACHE[key] = DyadicShells(grid)
-    return _SHELL_CACHE[key]
+    return DyadicShells(grid)
 
 
 def b_norm(f: Field) -> float:

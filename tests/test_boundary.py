@@ -144,7 +144,7 @@ class TestPairing:
         spec = BoundarySpec(lam=2.0, sign=+1, m=1)
         P = boundary_pairing(f, f, spec)
         Fh = forward_transform(f)
-        pm = pm_values(g, 1)
+        pm = np.fft.fftshift(pm_values(g, 1))
         plain = ((2.0 * np.pi) ** (-2) * g.freq_cell_volume
                  * np.sum(np.abs(Fh.values) ** 2 / (pm - spec.lam)))
         assert abs(P.imag) / abs(P) < 1e-5
@@ -473,7 +473,8 @@ class TestBoundaryApply:
         bf = boundary_apply(f, BoundarySpec(lam=lam, m=m))
         F = forward_transform(f)
         oracle = inverse_transform(
-            F.with_values(F.values / (pm_values(grid, m) - lam))).values
+            F.with_values(F.values
+                          / (np.fft.fftshift(pm_values(grid, m)) - lam))).values
         err = np.max(np.abs(bf.pv_part.values - oracle))
         assert err <= 1e-14 * np.max(np.abs(oracle))
         assert bf.diagnostics == {"lattice_gap": pytest.approx(

@@ -123,6 +123,7 @@ class TestExitCodes:
          "potential_report.reference"),
         ("potential", "potential_report.points_per_axis=513",
          "potential_report.points_per_axis"),
+        ("potential", "potential_report.q=1", "potential_report.q"),
         pytest.param("potential",
                      ["grid.dimension=3", "grid.points_per_axis=32",
                       "potential_report.points_per_axis=64"],

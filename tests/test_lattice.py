@@ -98,7 +98,8 @@ class TestTransforms:
         g = GridSpec(2, 10.0, 128)
         f = sample(lambda x, y: np.exp(-(x**2 + y**2) / 2.0), g)
         F = forward_transform(f)
-        xi2 = sum(x**2 for x in g.freq_grids())
+        xi2 = sum(x**2 for x in np.meshgrid(*([g.axis_freqs()] * g.dimension),
+                                            indexing="ij", sparse=True))
         exact = (2 * np.pi) ** (g.dimension / 2) * np.exp(-xi2 / 2.0)
         mask = np.broadcast_to(xi2, g.shape) <= 25.0
         rel = np.abs(F.values - exact)[mask] / np.abs(exact)[mask]

@@ -4,12 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from laplab import multiplier
 from laplab.family import FamilySpec, standard_family
 from laplab.lattice import (Field, GridSpec, PHYSICAL, forward_transform,
                             inverse_transform, sample)
 from laplab.multiplier import (CutoffSpec, apply_symbol, apply_values,
-                               bessel_values, chi_values, fft_order,
+                               bessel_values, chi_values,
                                free_resolvent, pm_values,
                                shell_radial_resolution)
 from laplab.spaces import (LorentzExponents, b_norm, bstar_norm,
@@ -66,24 +65,22 @@ class TestApplyValues:
                   + 1j * rng.standard_normal(g.shape), PHYSICAL)
         vals = 1.0 / (pm_values(g, 1) + 0.5 - 0.25j)
         F = forward_transform(f)
-        ref = inverse_transform(F.with_values(vals * F.values))
+        ref = inverse_transform(
+            F.with_values(np.fft.fftshift(vals) * F.values))
         out = apply_values(vals, f)
         assert out.domain_tag == PHYSICAL
         rel = np.max(np.abs(out.values - ref.values)) / np.max(np.abs(ref.values))
         assert rel <= 1e-14
 
-    def test_cached_symbols_keep_their_fft_order(self, g2, gauss2):
+    def test_symbols_are_in_fft_order(self, g2, gauss2):
+        # zero frequency first; shifted, the sorted frequency lattice of the
+        # spectral fields
         pm = pm_values(g2, 1)
-        assert fft_order(pm) is fft_order(pm_values(g2, 1))
-        assert np.array_equal(fft_order(pm), np.fft.ifftshift(pm))
-        plain = np.array(pm)
-        assert fft_order(plain) is not fft_order(plain)
-        # a symbol the cache drops takes its copy with it
-        free_resolvent(-1.0, 1, gauss2)
-        kept = len(multiplier._FFT_ORDER)
-        for z in (-2.0, -3.0, -4.0):
-            free_resolvent(z, 1, gauss2)
-        assert len(multiplier._FFT_ORDER) == kept
+        assert pm.flat[0] == 0.0
+        xi = np.meshgrid(*([g2.axis_freqs()] * g2.dimension), indexing="ij")
+        assert np.array_equal(np.fft.fftshift(pm), sum(x**2 for x in xi))
+        with pytest.raises(ValueError, match="physical"):
+            apply_values(pm, forward_transform(gauss2))
 
 
 class TestFreeResolvent:
