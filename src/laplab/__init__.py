@@ -3,9 +3,9 @@ Schrodinger operators (-Laplace)^m + V on periodic spectral lattices."""
 
 from .lattice import (Field, GridSpec, forward_transform, inverse_transform,
                       nudft_forward, sample)
-from .spaces import (CompositeNormConfig, DyadicShells, LorentzExponents,
-                     b_norm, bstar_norm, lorentz_norm, lp_norm,
-                     stein_tomas_exponent, x_norm_upper, xstar_norm)
+from .spaces import (DyadicShells, LorentzExponents, b_norm, bstar_norm,
+                     lorentz_norm, lp_norm, stein_tomas_exponent, x_norm_upper,
+                     xstar_norm)
 from .multiplier import CutoffSpec, bessel_values, chi_values, free_resolvent
 from .boundary import (BoundarySpec, boundary_apply, boundary_pairing,
                        decay_scan, epsilon_limit_pairing, graph_and_weight,
@@ -19,7 +19,7 @@ __version__ = "0.6.0"
 __all__ = [
     "Field", "GridSpec", "forward_transform", "inverse_transform",
     "nudft_forward", "sample",
-    "CompositeNormConfig", "DyadicShells", "LorentzExponents",
+    "DyadicShells", "LorentzExponents",
     "b_norm", "bstar_norm", "lorentz_norm", "lp_norm", "stein_tomas_exponent",
     "x_norm_upper", "xstar_norm",
     "CutoffSpec", "bessel_values", "chi_values", "free_resolvent",

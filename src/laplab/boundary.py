@@ -512,10 +512,10 @@ class KernelSample:
     flagged: bool = False
 
 
-def _kernel_quad(lam: float, m: int, d: int, x: np.ndarray,
-                 n_rad: int) -> complex:
+def _kernel_quad(lam: float, m: int, x: np.ndarray, n_rad: int) -> complex:
     """K(x) by n_rad Gauss-Legendre nodes in rho = |xi'| on (0, S1 r); the
-    angular integral over xi' is sigmahat_{d-1}(rho |x'|)."""
+    angular integral over xi' is sigmahat_{d-1}(rho |x'|), d = len(x)."""
+    d = len(x)
     r = lam ** (1.0 / (2 * m))
     rho, w = _panel_nodes(0.0, S1 * r, n_rad)
     phi, q = graph_and_weight(lam, m, rho[:, None])
@@ -524,50 +524,46 @@ def _kernel_quad(lam: float, m: int, d: int, x: np.ndarray,
     return complex(np.sum(vals) * 1j / (2.0 * np.pi) ** (d - 1))
 
 
-def kernel_k_plus(lam: float, m: int, d: int, x: Sequence[float],
-                  tol: float = 1e-8) -> KernelSample:
-    """One sample of the outgoing kernel; exactly 0 for x_d < 0 (Heaviside).
-    Flagged when node doubling passes NODE_BUDGET before two successive
-    values agree to tol."""
+def kernel_k_plus(lam: float, m: int, x: Sequence[float],
+                  tol: float) -> KernelSample:
+    """One sample of the outgoing kernel at the point x of R^d, d = len(x) in
+    [2, 4]; exactly 0 for x_d < 0 (Heaviside).  Flagged when node doubling
+    passes NODE_BUDGET before two successive values agree to tol."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"x must have {d} components")
+    # the lab's range of d; at d = 1 or d > 5 the last branch of
+    # _sphere_ft(d - 1, .) would silently use the wrong sphere
+    if x.ndim != 1 or not 2 <= len(x) <= 4:
+        raise ValueError(f"x must be a point with 2 to 4 components, got "
+                         f"shape {x.shape}")
     if x[-1] < 0:
         return KernelSample(x, 0.0 + 0.0j, 0.0)
     r = lam ** (1.0 / (2 * m))
     n = max(48, int(4 * r * (abs(x[-1]) + np.linalg.norm(x[:-1]))))
-    value, err, ok = _refine(lambda k: _kernel_quad(lam, m, d, x, k), n, tol,
+    value, err, ok = _refine(lambda k: _kernel_quad(lam, m, x, k), n, tol,
                              NODE_BUDGET)
     return KernelSample(x, value, err, flagged=not ok)
 
 
 @dataclass(frozen=True)
 class DecayScan:
-    lam: float
-    m: int
-    d: int
     rows: list          # (x, |K|, |K| (1+|x|)^{(d-1)/2}, flagged)
     max_normalized: float
-    median_normalized: float
 
 
-def decay_scan(lam: float, m: int, d: int, radii: Sequence[float],
+def decay_scan(lam: float, m: int, radii: Sequence[float],
                directions: Sequence[Sequence[float]],
-               tol: float = 1e-6) -> DecayScan:
-    """Tabulates |K| (1 + |x|)^{(d-1)/2} along rays; the max of the normalized
-    column is the empirical decay constant."""
+               tol: float) -> DecayScan:
+    """Tabulates |K| (1 + |x|)^{(d-1)/2} along rays, d the length of each
+    direction; the max of the normalized column is the empirical decay
+    constant."""
     rows = []
     for direction in directions:
         u = np.asarray(direction, dtype=float)
         u = u / np.linalg.norm(u)
         for R in radii:
-            s = kernel_k_plus(lam, m, d, R * u, tol=tol)
+            s = kernel_k_plus(lam, m, R * u, tol)
             mag = abs(s.value)
-            rows.append((s.x, mag, mag * (1.0 + R) ** ((d - 1) / 2.0),
+            rows.append((s.x, mag, mag * (1.0 + R) ** ((len(u) - 1) / 2.0),
                          s.flagged))
-    if rows:
-        norm_col = [row[2] for row in rows]
-        mx, med = float(np.max(norm_col)), float(np.median(norm_col))
-    else:
-        mx = med = 0.0
-    return DecayScan(lam, m, d, rows, mx, med)
+    return DecayScan(rows,
+                     float(np.max([row[2] for row in rows])) if rows else 0.0)

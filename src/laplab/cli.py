@@ -30,9 +30,9 @@ from .family import FAMILY_VERSION, FamilySpec, standard_family
 from .lattice import DEFAULT_MAX_POINTS, Field, GridSpec, PHYSICAL
 from .perturb import (EigenvalueCounter, Potential, direct_eigs, eigen_scan,
                       example_potential, lap_perturbed_sweep)
-from .spaces import (CompositeNormConfig, LorentzExponents, b_norm,
-                     bstar_norm, lorentz_norm, lp_norm, slab_l2_profile,
-                     stein_tomas_exponent, x_norm_upper, xstar_norm)
+from .spaces import (LorentzExponents, b_norm, bstar_norm, lorentz_norm,
+                     lp_norm, slab_l2_profile, stein_tomas_exponent,
+                     x_norm_upper, xstar_norm)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -189,8 +189,27 @@ def _num_list(cfg, path, lo=None, above=None, integer=False, length=None,
             for i, v in enumerate(node)]
 
 
+#: the bounds of the optional fields of a potential section
+POTENTIAL_BOUNDS = {"depth": {}, "radius": {"above": 0},
+                    "width": {"above": 0}, "q": {"lo": 1},
+                    "J": {"lo": 1, "integer": True}}
+
+
+def _unknown_fields(node: dict, known: dict, prefix: str, errors: list):
+    """Names every key of ``node`` that ``known`` lacks; an unknown section
+    is named once, without its fields."""
+    for key, value in node.items():
+        if key not in known:
+            errors.append(f"{prefix}{key}: unknown field")
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            _unknown_fields(value, known[key], f"{prefix}{key}.", errors)
+
+
 def validate_config(cfg: dict) -> list:
     errors: list = []
+    _unknown_fields(cfg, {**DEFAULTS,
+                          "potential": {"kind": None, **POTENTIAL_BOUNDS}},
+                    "", errors)
     _num(cfg, "grid.dimension", 2, 4, integer=True, errors=errors)
     _num(cfg, "grid.half_width", above=0, errors=errors)
     n = _num(cfg, "grid.points_per_axis", 16, integer=True, errors=errors)
@@ -213,9 +232,7 @@ def validate_config(cfg: dict) -> list:
             "none", "well", "gaussian", "example"):
         errors.append("potential.kind: must be one of none|well|gaussian|example")
     if isinstance(pot, dict):
-        bounds = {"depth": {}, "radius": {"above": 0}, "width": {"above": 0},
-                  "q": {"lo": 1}, "J": {"lo": 1, "integer": True}}
-        for key, bound in bounds.items():
+        for key, bound in POTENTIAL_BOUNDS.items():
             if key in pot:
                 _num(cfg, f"potential.{key}", errors=errors, **bound)
     _num(cfg, "eigen_margin", 0, errors=errors)
@@ -257,10 +274,11 @@ def validate_config(cfg: dict) -> list:
         except ValueError as e:
             errors.append(f"family.{e}")
     if not errors:
+        # every other GridSpec bound is checked above: this is the budget
         try:
             _grid(cfg)
         except ValueError as e:
-            errors.append(f"grid: {e}")
+            errors.append(f"grid.points_per_axis: {e}")
     return errors
 
 
@@ -389,8 +407,8 @@ def _json_default(v):
 
 def cmd_norms(cfg) -> Report:
     grid = _grid(cfg)
-    ncfg = CompositeNormConfig(m=int(cfg["m"]), d=grid.dimension)
-    pd, pdp = stein_tomas_exponent(grid.dimension)
+    m = int(cfg["m"])
+    pd, _ = stein_tomas_exponent(grid.dimension)
     fam = _family(cfg, grid)
 
     def one(item):
@@ -403,7 +421,7 @@ def cmd_norms(cfg) -> Report:
         ratio_bs = bs / slab_sup if slab_sup > 0 else 0.0
         return [label, f.l2(), lp_norm(f, pd),
                 lorentz_norm(f, LorentzExponents(pd, 2.0)), b, bs,
-                xstar_norm(f, ncfg), x_norm_upper(f, ncfg),
+                xstar_norm(f, m), x_norm_upper(f, m),
                 ratio_b, ratio_bs]
 
     rows = [one(item) for item in fam]
@@ -466,7 +484,7 @@ def cmd_kernel(cfg) -> Report:
     radii = [float(r) for r in kc["radii"]]
     ndir = int(kc["n_directions"])
     dirs = _directions(grid_d, ndir)
-    scan = decay_scan(lam, m, grid_d, radii, dirs, tol=float(kc["tol"]))
+    scan = decay_scan(lam, m, radii, dirs, float(kc["tol"]))
     per_dir = max(len(radii), 1)
     rows = [[i // per_dir, float(np.linalg.norm(x)), mag, norm_val, int(flag)]
             for i, (x, mag, norm_val, flag) in enumerate(scan.rows)]
@@ -527,22 +545,17 @@ def cmd_sweep(cfg) -> Report:
                     f"lambdas[{i}]: V moves an eigenvalue across [{lo:.4g}, "
                     f"{hi:.4g}] around lambda={lam:g} (spectral shift "
                     f"{xi_lo} -> {xi_hi})")
-    ncfg = CompositeNormConfig(m=m, d=grid.dimension)
     fam = _family(cfg, grid)
     report = lap_perturbed_sweep(V, m, lambdas,
                                  [float(e) for e in cfg["epsilons"]], fam,
-                                 ncfg, sign=sign,
+                                 sign=sign,
                                  solver_tol=float(cfg["tolerances"]["solver"]))
     rows = [[r.lam, r.eps, r.proxy, r.worst_label, r.residual, int(r.ok)]
             for r in report["rows"]]
     header = ["lambda", "epsilon", "proxy", "worst_label", "residual", "ok"]
     drift_limit = float(cfg["tolerances"]["drift_factor"])
     drift = report["last_decade_drift"]
-    # the drift compares the converged cells of the last epsilon-decade; a
-    # cell of an empty family converged without solving anything
-    done = [r for r in report["rows"] if r.ok]
-    smallest = min((r.eps for r in done), default=0.0)
-    checked = sum(r.eps <= 10.0 * smallest for r in done) if fam else 0
+    checked = report["compared"]
     return Report(header, rows,
                   {"sup": report["sup"], "sup_by_eps": report["sup_by_eps"],
                    "last_decade_drift": drift, "drift_limit": drift_limit,

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 
 from .lattice import Field, GridSpec, PHYSICAL
 from .multiplier import apply_values, free_resolvent, pm_values
-from .spaces import CompositeNormConfig, x_norm_upper, xstar_norm
+from .spaces import x_norm_upper, xstar_norm
 
 __all__ = [
     "Potential",
@@ -378,17 +378,19 @@ class SweepRow:
 def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
                         epsilons: Sequence[float],
                         family: Sequence[tuple[str, Field]],
-                        norm_cfg: CompositeNormConfig,
                         sign: int = +1,
                         solver_tol: float = 1e-10) -> dict:
     """Proxy for sup ||R^m(lambda + i sign eps)||_{X -> X*}.
 
     For each cell, maximizes xstar_norm(R^m f) / x_norm_upper(f) over the test
     family.  The proxy lower-bounds the operator norm; uniformity is reported
-    as the drift of the epsilon-wise sup over the last decade of epsilon.
+    as the drift of the epsilon-wise sup over the last decade of epsilon, the
+    converged cells up to ten times the smallest converged epsilon, and
+    ``compared`` counts those cells (0 for an empty family, whose cells
+    converge without solving anything).
     """
     rows: list[SweepRow] = []
-    denom = [(label, f, x_norm_upper(f, norm_cfg)) for label, f in family]
+    denom = [(label, f, x_norm_upper(f, m)) for label, f in family]
     for lam in lambdas:
         for eps in epsilons:
             z = lam + 1j * sign * eps
@@ -399,7 +401,7 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
                 if not sol.converged:
                     ok = False
                     continue
-                ratio = xstar_norm(sol.u, norm_cfg) / xb
+                ratio = xstar_norm(sol.u, m) / xb
                 if ratio > best:
                     best, best_label = ratio, label
             rows.append(SweepRow(lam, eps, best, best_label, worst_res, ok))
@@ -407,24 +409,14 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
     for row in rows:
         if row.ok:
             sup_by_eps[row.eps] = max(sup_by_eps.get(row.eps, 0.0), row.proxy)
-    drift = _last_decade_drift(sup_by_eps)
+    last = 10.0 * min(sup_by_eps, default=math.nan)
+    decade = [sup for eps, sup in sup_by_eps.items() if eps <= last]
     return {
         "rows": rows,
         "sup_by_eps": sup_by_eps,
         "sup": max(sup_by_eps.values()) if sup_by_eps else math.nan,
-        "last_decade_drift": drift,
+        "last_decade_drift": (max(decade) / min(decade)
+                              if decade and min(decade) > 0 else math.nan),
+        "compared": sum(r.ok and r.eps <= last for r in rows) if denom else 0,
         "holes": sum(1 for row in rows if not row.ok),
     }
-
-
-def _last_decade_drift(sup_by_eps: dict) -> float:
-    if not sup_by_eps:
-        return math.nan
-    eps = sorted(sup_by_eps)
-    lo = eps[0]
-    decade = [e for e in eps if e <= 10.0 * lo]
-    vals = [sup_by_eps[e] for e in decade]
-    if min(vals) <= 0:
-        return math.nan
-    return max(vals) / min(vals)
-

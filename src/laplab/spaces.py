@@ -22,7 +22,6 @@ from .multiplier import apply_symbol, apply_values, bessel_values, pm_values
 __all__ = [
     "LorentzExponents",
     "DyadicShells",
-    "CompositeNormConfig",
     "lorentz_norm",
     "lp_norm",
     "b_norm",
@@ -31,6 +30,7 @@ __all__ = [
     "x_norm_upper",
     "slab_l2_profile",
     "stein_tomas_exponent",
+    "smoothing_order",
 ]
 
 INF = float("inf")
@@ -147,70 +147,59 @@ SPLIT_LAMBDA = 1.0
 SPLIT_WIDTHS = (0.25, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class CompositeNormConfig:
-    """Parameters of the composite scales: order m and dimension d."""
-
-    m: int
-    d: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        if not 2 <= self.d <= 4:
-            raise ValueError(f"d must lie in [2, 4], got {self.d}")
-
-    @property
-    def theta(self) -> float:
-        return self.m - self.d / (self.d + 1.0)
-
-    @property
-    def exponents(self) -> tuple[float, float]:
-        return stein_tomas_exponent(self.d)
+def smoothing_order(m: int, d: int) -> float:
+    """theta = m - d/(d+1), the order of the Bessel potential in the Lorentz
+    components of X* (S_theta) and X (S_{-theta})."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    return m - d / (d + 1.0)
 
 
-def xstar_norm(u: Field, cfg: CompositeNormConfig) -> float:
-    """max( ||S_theta u||_{L^{pd',2}}, ||S_m u||_{B*} ).
+def xstar_norm(u: Field, m: int) -> float:
+    """max( ||S_theta u||_{L^{pd',2}}, ||S_m u||_{B*} ), d from u's grid.
 
     The max convention for the intersection norm is this artifact's
     normalization; it changes constants only.
     """
     _require_physical(u)
-    pd, pdp = cfg.exponents
-    lor = lorentz_norm(apply_symbol(bessel_values(u.grid, cfg.theta), u),
-                       LorentzExponents(pdp, 2.0))
-    bst = bstar_norm(apply_symbol(bessel_values(u.grid, float(cfg.m)), u))
+    d = u.grid.dimension
+    _, pdp = stein_tomas_exponent(d)
+    lor = lorentz_norm(
+        apply_symbol(bessel_values(u.grid, smoothing_order(m, d)), u),
+        LorentzExponents(pdp, 2.0))
+    bst = bstar_norm(apply_symbol(bessel_values(u.grid, float(m)), u))
     return max(lor, bst)
 
 
-def _lorentz_part(f1: Field, cfg: CompositeNormConfig) -> float:
-    pd, _ = cfg.exponents
-    return lorentz_norm(apply_symbol(bessel_values(f1.grid, -cfg.theta), f1),
+def _lorentz_part(f1: Field, theta: float) -> float:
+    pd, _ = stein_tomas_exponent(f1.grid.dimension)
+    return lorentz_norm(apply_symbol(bessel_values(f1.grid, -theta), f1),
                         LorentzExponents(pd, 2.0))
 
 
-def _b_part(f2: Field, cfg: CompositeNormConfig) -> float:
-    return b_norm(apply_symbol(bessel_values(f2.grid, -float(cfg.m)), f2))
+def _b_part(f2: Field, m: int) -> float:
+    return b_norm(apply_symbol(bessel_values(f2.grid, -float(m)), f2))
 
 
-def x_norm_upper(f: Field, cfg: CompositeNormConfig) -> float:
-    """Upper bound for the sum-space norm of X.
+def x_norm_upper(f: Field, m: int) -> float:
+    """Upper bound for the sum-space norm of X, d from f's grid.
 
     Minimizes over the two trivial splittings and a one-parameter family of
     smooth frequency splittings concentrated near the sphere |xi|^{2m} =
     SPLIT_LAMBDA.  Always an upper bound for the true infimum.
     """
     _require_physical(f)
+    theta = smoothing_order(m, f.grid.dimension)
     # the trivial splittings (f, 0) and (0, f)
-    best = min(_lorentz_part(f, cfg), _b_part(f, cfg))
+    best = min(_lorentz_part(f, theta), _b_part(f, m))
 
-    pm = pm_values(f.grid, cfg.m)
+    pm = pm_values(f.grid, m)
     lam = SPLIT_LAMBDA
     for w in SPLIT_WIDTHS:
         bump = np.exp(-((pm - lam) / (w * lam)) ** 2)
         f2 = apply_values(bump, f)
         f1 = f.with_values(f.values - f2.values)
-        best = min(best, _lorentz_part(f1, cfg) + _b_part(f2, cfg))
+        best = min(best, _lorentz_part(f1, theta) + _b_part(f2, m))
     return best
 
 

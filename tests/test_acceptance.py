@@ -26,7 +26,6 @@ from laplab.perturb import (
     lap_perturbed_sweep,
 )
 from laplab.spaces import (
-    CompositeNormConfig,
     LorentzExponents,
     b_norm,
     bstar_norm,
@@ -149,7 +148,7 @@ def test_criterion_05_kernel_decay():
         dirs = _directions(d, 3)
         for m in (1, 2):
             t0 = time.monotonic()
-            scan = decay_scan(1.0, m, d, radii, dirs, tol=1e-6)
+            scan = decay_scan(1.0, m, radii, dirs, tol=1e-6)
             assert time.monotonic() - t0 < 300.0
             for j in range(len(dirs)):
                 vals = [row[2] for row in
@@ -163,12 +162,10 @@ def test_criterion_05_kernel_decay():
 
 
 def test_criterion_06_free_lap_uniformity(g2):
-    cfg = CompositeNormConfig(m=1, d=2)
     fam = standard_family(g2, FamilySpec(count=6, seed=0))
     lambdas = [0.5, 0.75, 1.0, 1.5, 2.0]
     epsilons = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
-    out = lap_perturbed_sweep(zero_potential(g2), 1, lambdas, epsilons, fam,
-                              cfg)
+    out = lap_perturbed_sweep(zero_potential(g2), 1, lambdas, epsilons, fam)
     sups = list(out["sup_by_eps"].values())
     drift = max(sups) / min(sups)
     report(6, "free sweep uniformity", out["holes"] == 0 and drift < 2.0,
@@ -176,7 +173,6 @@ def test_criterion_06_free_lap_uniformity(g2):
 
 
 def test_criterion_07_perturbed_resolvent(g2):
-    cfg = CompositeNormConfig(m=1, d=2)
     fam = standard_family(g2, FamilySpec(count=4, seed=7))
     lambdas, epsilons = [0.5, 1.0, 2.0], [0.1, 0.01]
 
@@ -187,9 +183,8 @@ def test_criterion_07_perturbed_resolvent(g2):
     red = float(np.max(np.abs(sol0.u.values - free0.values)))
 
     V = well_potential(g2, depth=-0.05)
-    pert = lap_perturbed_sweep(V, 1, lambdas, epsilons, fam, cfg)
-    free = lap_perturbed_sweep(zero_potential(g2), 1, lambdas, epsilons, fam,
-                               cfg)
+    pert = lap_perturbed_sweep(V, 1, lambdas, epsilons, fam)
+    free = lap_perturbed_sweep(zero_potential(g2), 1, lambdas, epsilons, fam)
     worst_res = max(r.residual for r in pert["rows"])
 
     # Neumann contraction factor of R_0(z) V on the test family
@@ -199,8 +194,8 @@ def test_criterion_07_perturbed_resolvent(g2):
             z = lam + 1j * eps
             for _, f in fam:
                 vf = V.apply(f)
-                q = max(q, xstar_norm(free_resolvent(z, 1, vf), cfg)
-                        / xstar_norm(f, cfg))
+                q = max(q, xstar_norm(free_resolvent(z, 1, vf), 1)
+                        / xstar_norm(f, 1))
     neumann_ok = q < 1.0 and \
         pert["sup"] <= 1.1 * free["sup"] / (1.0 - q)
     report(7, "perturbed resolvent",

@@ -154,6 +154,11 @@ class TestExitCodes:
         ("sweep", "potential.radius=0", "potential.radius"),
         ("spectrum", "spectrum.interval=[-0.5,-8]", "spectrum.interval"),
         ("spectrum", "spectrum.interval=[-1,1]", "spectrum.interval"),
+        ("norms", "grid.point_per_axis=32", "grid.point_per_axis"),
+        ("norms", "tolerance.sqrt2_slack=1", "tolerance"),
+        ("sweep", "potential.dept=-3", "potential.dept"),
+        pytest.param("norms", ["grid.dimension=4", "grid.points_per_axis=128"],
+                     "grid.points_per_axis", id="norms-grid-over-budget"),
     ])
     def test_bad_section_value_is_exit_2(self, tmp_path, capsys, command,
                                          setting, field):

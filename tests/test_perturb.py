@@ -24,8 +24,8 @@ from laplab.perturb import (
     lap_perturbed_sweep,
     _negative_inertia,
 )
-from laplab.spaces import (CompositeNormConfig, LorentzExponents, lorentz_norm,
-                           xstar_norm, x_norm_upper)
+from laplab.spaces import (LorentzExponents, lorentz_norm, xstar_norm,
+                           x_norm_upper)
 from laplab.family import FamilySpec, standard_family
 
 from conftest import PROPERTY, gaussian_field
@@ -396,24 +396,21 @@ class TestEigenScan:
 
 class TestPerturbedSweep:
     def test_zero_potential_matches_free(self, g2):
-        cfg = CompositeNormConfig(m=1, d=2)
         fam = standard_family(g2, FamilySpec(count=2, seed=7))
         out = lap_perturbed_sweep(zero_potential(g2), 1, [1.0], [0.1, 0.05],
-                                  fam, cfg)
-        assert out["holes"] == 0
+                                  fam)
+        assert out["holes"] == 0 and out["compared"] == 2
         for row in out["rows"]:
             z = row.lam + 1j * row.eps
             direct = max(
-                xstar_norm(free_resolvent(z, 1, f), cfg) / x_norm_upper(f, cfg)
+                xstar_norm(free_resolvent(z, 1, f), 1) / x_norm_upper(f, 1)
                 for _, f in fam)
             assert row.proxy == pytest.approx(direct, rel=1e-8)
 
     def test_small_potential_is_a_small_perturbation(self, g2):
-        cfg = CompositeNormConfig(m=1, d=2)
         fam = standard_family(g2, FamilySpec(count=2, seed=7))
-        free = lap_perturbed_sweep(zero_potential(g2), 1, [1.0], [0.1], fam,
-                                   cfg)
+        free = lap_perturbed_sweep(zero_potential(g2), 1, [1.0], [0.1], fam)
         V = well_potential(g2, depth=-0.05)
-        pert = lap_perturbed_sweep(V, 1, [1.0], [0.1], fam, cfg)
+        pert = lap_perturbed_sweep(V, 1, [1.0], [0.1], fam)
         assert pert["holes"] == 0
         assert pert["sup"] == pytest.approx(free["sup"], rel=0.2)

@@ -6,9 +6,9 @@ from laplab.family import FamilySpec, shell_stress_family, standard_family
 from laplab.lattice import Field, GridSpec, PHYSICAL, forward_transform, \
     inverse_transform, sample
 from laplab.multiplier import apply_values, bessel_values
-from laplab.spaces import (CompositeNormConfig, DyadicShells, LorentzExponents,
-                           b_norm, bstar_norm, lorentz_norm, lp_norm,
-                           slab_l2_profile, stein_tomas_exponent, x_norm_upper,
+from laplab.spaces import (DyadicShells, LorentzExponents, b_norm, bstar_norm,
+                           lorentz_norm, lp_norm, slab_l2_profile,
+                           smoothing_order, stein_tomas_exponent, x_norm_upper,
                            xstar_norm)
 
 from conftest import PROPERTY, gaussian_field
@@ -107,62 +107,62 @@ class TestComposite:
     def test_theta_formula(self):
         for m in (1, 2, 3):
             for d in (2, 3, 4):
-                cfg = CompositeNormConfig(m=m, d=d)
-                assert cfg.theta == pytest.approx(m - d / (d + 1.0))
+                assert smoothing_order(m, d) == pytest.approx(m - d / (d + 1.0))
+        with pytest.raises(ValueError, match="positive integer"):
+            smoothing_order(0, 2)
 
     def test_zero_field(self, g2):
-        cfg = CompositeNormConfig(m=1, d=2)
         z = Field(g2, np.zeros(g2.shape, dtype=complex), PHYSICAL)
-        assert xstar_norm(z, cfg) == 0.0
-        assert x_norm_upper(z, cfg) == 0.0
+        assert xstar_norm(z, 1) == 0.0
+        assert x_norm_upper(z, 1) == 0.0
 
-    def test_xstar_recomputation(self, g2, gauss2):
-        cfg = CompositeNormConfig(m=1, d=2)
-        _, pdp = cfg.exponents
-        lor = lorentz_norm(apply_values(bessel_values(g2, cfg.theta), gauss2),
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_xstar_recomputation(self, d):
+        grid = GridSpec(d, 6.8, {2: 128, 3: 32, 4: 16}[d])
+        u = gaussian_field(grid)
+        _, pdp = stein_tomas_exponent(d)
+        theta = 1.0 - d / (d + 1.0)
+        lor = lorentz_norm(apply_values(bessel_values(grid, theta), u),
                            LorentzExponents(pdp, 2.0))
-        bst = bstar_norm(apply_values(bessel_values(g2, 1.0), gauss2))
-        assert xstar_norm(gauss2, cfg) == pytest.approx(max(lor, bst),
-                                                        rel=1e-12)
+        bst = bstar_norm(apply_values(bessel_values(grid, 1.0), u))
+        assert xstar_norm(u, 1) == pytest.approx(max(lor, bst), rel=1e-12)
 
     def test_xstar_homogeneity(self, g2, gauss2):
-        cfg = CompositeNormConfig(m=2, d=2)
-        base = xstar_norm(gauss2, cfg)
-        scaled = xstar_norm(gauss2.with_values(-3.5j * gauss2.values), cfg)
+        base = xstar_norm(gauss2, 2)
+        scaled = xstar_norm(gauss2.with_values(-3.5j * gauss2.values), 2)
         assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
     def test_xstar_triangle(self, g2, gauss2):
-        cfg = CompositeNormConfig(m=1, d=2)
         g = gaussian_field(g2, width=0.8, wavevector=(1.0, 0.3))
         s = gauss2.with_values(gauss2.values + g.values)
-        assert xstar_norm(s, cfg) <= xstar_norm(gauss2, cfg) \
-            + xstar_norm(g, cfg) + 1e-10
+        assert xstar_norm(s, 1) <= xstar_norm(gauss2, 1) \
+            + xstar_norm(g, 1) + 1e-10
 
     def test_witnessed_at_most_trivial(self, g2, gauss2):
-        cfg = CompositeNormConfig(m=1, d=2)
-        t1 = _trivial_lorentz_splitting(gauss2, cfg)
-        t2 = _trivial_b_splitting(gauss2, cfg)
-        assert x_norm_upper(gauss2, cfg) <= min(t1, t2) + 1e-12
+        t1 = _trivial_lorentz_splitting(gauss2, 1)
+        t2 = _trivial_b_splitting(gauss2, 1)
+        assert x_norm_upper(gauss2, 1) <= min(t1, t2) + 1e-12
 
     def test_far_spectral_support_uses_lorentz_term(self, g2):
         # spectral support concentrated around |xi| = 4, far above the
         # splitting spheres (SPLIT_LAMBDA = 1)
-        cfg = CompositeNormConfig(m=1, d=2)
         f = gaussian_field(g2, width=2.0, wavevector=(4.0, 0.0))
-        lorentz_term = _trivial_lorentz_splitting(f, cfg)
-        assert x_norm_upper(f, cfg) <= lorentz_term + 1e-12
+        lorentz_term = _trivial_lorentz_splitting(f, 1)
+        assert x_norm_upper(f, 1) <= lorentz_term + 1e-12
 
 
-def _trivial_lorentz_splitting(f, cfg):
+def _trivial_lorentz_splitting(f, m):
     """The X norm of the splitting (f, 0): ||S_{-theta} f||_{L^{pd,2}}."""
-    pd, _ = cfg.exponents
-    return lorentz_norm(apply_values(bessel_values(f.grid, -cfg.theta), f),
+    d = f.grid.dimension
+    pd, _ = stein_tomas_exponent(d)
+    theta = m - d / (d + 1.0)
+    return lorentz_norm(apply_values(bessel_values(f.grid, -theta), f),
                         LorentzExponents(pd, 2.0))
 
 
-def _trivial_b_splitting(f, cfg):
+def _trivial_b_splitting(f, m):
     """The X norm of the splitting (0, f): ||S_{-m} f||_B."""
-    return b_norm(apply_values(bessel_values(f.grid, -float(cfg.m)), f))
+    return b_norm(apply_values(bessel_values(f.grid, -float(m)), f))
 
 
 class TestEmbeddings:
