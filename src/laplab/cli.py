@@ -576,13 +576,14 @@ def cmd_spectrum(cfg) -> Report:
     gate = float(sc["oracle_rel"])
     res = eigen_scan(V, m, interval, steps=steps)
     grid_step = (interval[1] - interval[0]) / (steps - 1)
-    oracle, converged, matvecs = [], None, 0
+    oracle, converged, residual, matvecs, solves = [], None, None, 0, 0
     judged = not V.is_zero() and interval[1] < 0
     if judged:
         # the count below b sizes Lanczos to reach every eigenvalue there
         k = max(6, int(res.counts[-1]) + 1)
         lanczos = direct_eigs(m, V, k=k)
-        converged, matvecs = lanczos.converged, lanczos.matvecs
+        converged, residual = lanczos.converged, lanczos.residual
+        matvecs, solves = lanczos.matvecs, lanczos.solves
         oracle = [e for e in lanczos.values
                   if interval[0] <= e <= interval[1]]
     cands = [lam for lam, _ in res.candidates]
@@ -606,6 +607,7 @@ def cmd_spectrum(cfg) -> Report:
     return Report(header, rows,
                   {"candidates": rows, "oracle": [float(e) for e in oracle],
                    "oracle_converged": converged, "oracle_matvecs": matvecs,
+                   "oracle_residual": residual, "oracle_solves": solves,
                    "support_nodes": res.support_nodes, "grid_step": grid_step,
                    "warning": res.warning},
                   verdict="ok", ok=ok,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
@@ -184,36 +184,158 @@ def _real_hamiltonian(m: int, V: Potential):
     return matvec
 
 
+#: support nodes an eigenvalue count keeps, the strongest ones, and that the
+#: oracle's preconditioner inverts exactly; each factors a dense matrix of
+#: this order
+MAX_SUPPORT_NODES = 1500
+
+
+def _strongest_nodes(vals: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the support of ``vals``, cut to its
+    ``MAX_SUPPORT_NODES`` strongest nodes; ties are broken by index."""
+    idx = np.flatnonzero(vals)
+    if len(idx) > MAX_SUPPORT_NODES:
+        order = np.lexsort((idx, -np.abs(vals[idx])))
+        idx = np.sort(idx[order[:MAX_SUPPORT_NODES]])
+    return idx
+
+
+#: relative residual ||b - (H - sigma) x|| / ||b|| that ends a shift-invert
+#: solve
+SOLVE_TOL = 1e-12
+#: preconditioned CG steps allowed to one shift-invert solve
+SOLVE_MAXITER = 100
+
+
+class _SolveFailed(Exception):
+    """A shift-invert solve missed SOLVE_TOL within SOLVE_MAXITER steps."""
+
+
+def _woodbury_inverse(m: int, V: Potential, sigma: float):
+    """(P_m + V_S - sigma)^{-1} on raveled real fields, V_S being V on its
+    strongest nodes S, by the Birman-Schwinger (Woodbury) identity
+
+        (P_m + E D E^T - sigma)^{-1} = R - R E C^{-1} E^T R,
+        R = (P_m - sigma)^{-1},  C = D^{-1} + E^T R E,
+
+    with D = diag(V) on S and E the injection of S into the lattice.  R is
+    one rfftn/irfftn pair; C, symmetric indefinite, is the Green's function
+    g = R delta_0 read at the offsets x_j - x_k and factored once by dsytrf.
+    """
+    shape = V.grid.shape
+    n = V.grid.points_per_axis
+    inv_half = 1.0 / (pm_values(V.grid, m)[..., :shape[-1] // 2 + 1] - sigma)
+
+    def resolvent(w: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(w.reshape(shape))
+        spec *= inv_half
+        return np.fft.irfftn(spec).ravel()    # n is even, as in the matvec
+
+    vals = V.real_values().ravel()
+    nodes = _strongest_nodes(vals)
+    if not len(nodes):
+        return resolvent
+    coords = np.unravel_index(nodes, shape)
+    # delta_0 transforms to 1, so g is the inverse transform of 1/(P - sigma)
+    green = np.fft.irfftn(inv_half).ravel()
+    c = np.take(green, np.ravel_multi_index(
+        tuple((x[:, None] - x[None, :]) % n for x in coords), shape))
+    c[np.diag_indices(len(nodes))] += 1.0 / vals[nodes]
+    lwork = int(dsytrf_lwork(len(nodes), lower=1)[0])
+    # c is symmetric: its transpose is the Fortran-ordered copy dsytrf
+    # factors in place
+    ldu, ipiv, _ = dsytrf(c.T, lower=1, lwork=lwork, overwrite_a=1)
+
+    def inverse(b: np.ndarray) -> np.ndarray:
+        rb = resolvent(b)
+        e = np.zeros_like(rb)
+        e[nodes] = dsytrs(ldu, ipiv, rb[nodes], lower=1)[0]
+        rb -= resolvent(e)
+        return rb
+
+    return inverse
+
+
 @dataclass(frozen=True)
 class LanczosEigs:
     values: np.ndarray     # ascending; without convergence, those that did
-    matvecs: int
+    matvecs: int           # applications of H
     converged: bool
+    residual: float        # max ||Hx - theta x|| over the unit Ritz vectors
+    solves: int            # applications of (H - sigma)^{-1}
 
 
 def direct_eigs(m: int, V: Potential, k: int = 4) -> LanczosEigs:
-    """Lowest eigenvalues of the discrete H = P_m(D) + V by Lanczos (ARPACK)
-    on real fields, which H maps to real fields for real V; reports the
-    matvecs it took and whether ARPACK converged."""
+    """Lowest eigenvalues of the discrete H = P_m(D) + V by shift-invert
+    Lanczos (ARPACK) on real fields, which H maps to real fields for real V.
+
+    With sigma = min(0, min V) - 1, H - sigma >= 1 since P_m >= 0, and the
+    lowest eigenvalues of H are the largest of (H - sigma)^{-1}, which
+    Lanczos reaches in few steps at any order m.  Each solve is CG on the
+    plain matvec of H - sigma, preconditioned by the Woodbury inverse of
+    P_m + V_S - sigma; when S is the whole support that inverse is exact and
+    the loop ends at its first residual check.  The values are the Rayleigh
+    quotients of the Ritz vectors under H, so they are those of the full V
+    whatever S keeps; ``residual`` bounds, H being symmetric, the distance
+    of each to an eigenvalue of H.  A solve that misses ``SOLVE_TOL`` within
+    ``SOLVE_MAXITER`` steps ends the run unconverged, with no values.
+    """
     apply = _real_hamiltonian(m, V)
-    matvecs = 0
+    sigma = min(0.0, float(np.min(V.real_values()))) - 1.0
+    inverse = _woodbury_inverse(m, V, sigma)
+    matvecs = solves = 0
 
     def matvec(w):
         nonlocal matvecs
         matvecs += 1
         return apply(w)
 
+    def shifted(w):
+        return matvec(w) - sigma * w
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        # preconditioned CG on H - sigma from x = inverse(b); p = 0 makes the
+        # first direction the preconditioned residual
+        x = inverse(b)
+        r = b - shifted(x)
+        p, rz = np.zeros_like(b), 1.0
+        goal = SOLVE_TOL * np.linalg.norm(b)
+        steps = 0
+        while np.linalg.norm(r) > goal:
+            if steps == SOLVE_MAXITER:
+                raise _SolveFailed
+            steps += 1
+            z = inverse(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+            q = shifted(p)
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+        return x
+
     n_tot = V.grid.points_per_axis ** V.grid.dimension
     op = LinearOperator((n_tot, n_tot), matvec=matvec, dtype=np.float64)
+    op_inv = LinearOperator((n_tot, n_tot), matvec=solve, dtype=np.float64)
     # a seeded random start keeps reruns byte-identical; a constant start
     # would confine Lanczos to the symmetric subspace
     v0 = np.random.default_rng(0).standard_normal(n_tot)
     try:
-        vals = eigsh(op, k=k, which="SA", v0=v0, return_eigenvectors=False,
-                     tol=1e-9)
+        _, ritz = eigsh(op, k=k, sigma=sigma, OPinv=op_inv, which="LM",
+                        v0=v0, tol=1e-9)
     except ArpackNoConvergence as err:
-        return LanczosEigs(np.sort(err.eigenvalues), matvecs, False)
-    return LanczosEigs(np.sort(vals), matvecs, True)
+        return LanczosEigs(np.sort(err.eigenvalues), matvecs, False,
+                           math.nan, solves)
+    except _SolveFailed:
+        return LanczosEigs(np.empty(0), matvecs, False, math.nan, solves)
+    h_ritz = np.column_stack([matvec(x) for x in ritz.T])
+    norms = np.linalg.norm(ritz, axis=0)
+    theta = np.einsum("ij,ij->j", ritz, h_ritz) / norms**2
+    residual = np.linalg.norm(h_ritz - ritz * theta, axis=0) / norms
+    return LanczosEigs(np.sort(theta), matvecs, True, float(np.max(residual)),
+                       solves)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +344,6 @@ def direct_eigs(m: int, V: Potential, k: int = 4) -> LanczosEigs:
 
 #: final bracket width of a located eigenvalue, relative to max(1, |lambda|)
 BISECTION_WIDTH = 1e-12
-#: support nodes an eigenvalue count keeps, the strongest ones; each count
-#: factors a dense matrix of this order
-MAX_SUPPORT_NODES = 1500
 
 
 class EigenvalueCounter:
@@ -250,12 +369,9 @@ class EigenvalueCounter:
     def __init__(self, V: Potential, m: int):
         grid = V.grid
         vals = V.real_values().ravel()
-        idx = np.flatnonzero(vals)
+        idx = _strongest_nodes(vals)
         self.warning = None
-        if len(idx) > MAX_SUPPORT_NODES:
-            # keep the strongest nodes; deterministic tie-break by index
-            order = np.lexsort((idx, -np.abs(vals[idx])))
-            idx = np.sort(idx[order[:MAX_SUPPORT_NODES]])
+        if len(idx) < np.count_nonzero(vals):
             self.warning = (f"support truncated to {MAX_SUPPORT_NODES} "
                             "strongest nodes; counts are those of V "
                             "restricted to them")

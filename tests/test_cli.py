@@ -321,11 +321,33 @@ class TestSpectrumCommand:
         s = read_summary(out / "spectrum.json")
         assert s["ok"] is True and s["oracle"]
         assert s["oracle_converged"] is True and s["oracle_matvecs"] > 0
+        assert s["oracle_solves"] > 0 and s["oracle_residual"] <= 1e-8
         assert s["checked"] == len(rows) + len(s["oracle"])
         for cand, mult, width, rel in rows:
             assert int(mult) >= 1
             assert 0 < float(width) <= 1e-12 * max(1.0, abs(float(cand)))
             assert float(rel) <= 1e-10
+
+    def test_second_order_well_finishes(self, tmp_path):
+        # m = 2 spans the lattice spectrum up to about 3e4 here; shift-invert
+        # Lanczos reaches the bottom of it in few solves
+        code, out = run(["spectrum", "--set", "m=2",
+                         "--set", "potential.kind=well",
+                         "--set", "potential.depth=-8",
+                         "--set", "grid.points_per_axis=32"], tmp_path, "m2")
+        assert code == EXIT_OK
+        s = read_summary(out / "spectrum.json")
+        assert s["ok"] is True and s["oracle_converged"] is True
+        _, _, rows = read_table(out / "spectrum.csv")
+        assert rows and all(float(rel) <= 1e-10 for *_, rel in rows)
+
+    def test_no_oracle_without_potential(self, tmp_path):
+        code, out = run(["spectrum", "--set", "grid.points_per_axis=32"],
+                        tmp_path, "free")
+        assert code == EXIT_OK
+        s = read_summary(out / "spectrum.json")
+        assert s["oracle_converged"] is None and s["oracle_residual"] is None
+        assert s["oracle_matvecs"] == 0 and s["oracle_solves"] == 0
 
     @pytest.mark.parametrize("fake", [
         lambda eigs: eigs + 0.05,                        # every one moved
@@ -460,7 +482,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.6.0", "family/1"]
+                                   "laplab/0.7.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

@@ -216,24 +216,55 @@ class TestHamiltonian:
         got = perturb._real_hamiltonian(m, V)(w)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_direct_eigs_matches_dense_matrix(self):
+    @staticmethod
+    def _random_potential():
+        grid = GridSpec(2, 5.0, 16)
+        rng = np.random.default_rng(7)
+        return Potential(field=Field(grid, rng.uniform(-8.0, 2.0, grid.shape)
+                                     .astype(complex), PHYSICAL))
+
+    def _dense_check(self, m):
         # H assembled column by column from apply_hamiltonian; a random V
         # leaves no eigenvalue multiple, which a single-start Lanczos could
         # report once
-        grid = GridSpec(2, 5.0, 16)
-        rng = np.random.default_rng(7)
-        V = Potential(field=Field(grid, rng.uniform(-8.0, 2.0, grid.shape)
-                                  .astype(complex), PHYSICAL))
+        V = self._random_potential()
+        grid = V.grid
         n_tot = grid.points_per_axis**grid.dimension
         H = np.column_stack([
-            apply_hamiltonian(1, V, Field(grid, e.reshape(grid.shape),
+            apply_hamiltonian(m, V, Field(grid, e.reshape(grid.shape),
                                           PHYSICAL)).values.real.ravel()
             for e in np.eye(n_tot)])
         dense = np.linalg.eigvalsh(0.5 * (H + H.T))[:6]
-        res = direct_eigs(1, V, k=6)
-        assert res.converged and res.matvecs > 0
+        res = direct_eigs(m, V, k=6)
+        assert res.converged and res.matvecs > res.solves > 0
         assert np.all(np.abs(res.values - dense)
                       <= 1e-10 * np.maximum(1.0, np.abs(dense)))
+        # the residual certificate: an eigenvalue within it of each value
+        assert np.all(np.abs(res.values - dense) <= res.residual)
+        return res
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_direct_eigs_matches_dense_matrix(self, m):
+        res = self._dense_check(m)
+        # nothing is cut, so the Woodbury inverse is exact: each solve ends
+        # at its first residual check, and the other six matvecs are the
+        # Rayleigh quotients
+        assert res.matvecs == res.solves + 6
+
+    def test_direct_eigs_with_a_cut_preconditioner(self, monkeypatch):
+        # 40 of the 256 nodes in the Woodbury preconditioner: CG carries
+        # the rest, and the values stay those of the full V
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 40)
+        res = self._dense_check(1)
+        assert res.matvecs > 2 * res.solves
+
+    def test_failed_solve_is_reported(self, monkeypatch):
+        # a cut preconditioner with no CG step allowed misses SOLVE_TOL
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 40)
+        monkeypatch.setattr(perturb, "SOLVE_MAXITER", 0)
+        res = direct_eigs(1, self._random_potential(), k=6)
+        assert not res.converged and res.values.size == 0
+        assert res.solves == 1 and res.matvecs == 1
 
     def test_unconverged_lanczos_is_reported(self, g3_well, monkeypatch):
         def no_convergence(*args, **kwargs):
