@@ -529,14 +529,14 @@ def cmd_sweep(cfg) -> Report:
     m, sign = int(cfg["m"]), int(cfg["sign"])
     V = _potential(cfg, grid)
     lambdas = [float(v) for v in cfg["lambdas"]]
-    prescan = {"support_nodes": 0, "warning": None}    # V = 0: no scan
+    prescan = {"support_nodes": 0, "weyl_shift": 0.0}    # V = 0: no scan
     if not V.is_zero():
         # refuse a lambda only when V moves an eigenvalue across its window:
         # box modes that H and P_m both have there do not count
         margin = float(cfg["eigen_margin"])
         counter = EigenvalueCounter(V, m)
         prescan = {"support_nodes": counter.nodes,
-                   "warning": counter.warning}
+                   "weyl_shift": counter.weyl_shift}
         for i, lam in enumerate(lambdas):
             lo, hi = lam - margin, lam + margin
             xi_lo, xi_hi = counter.xi(lo), counter.xi(hi)
@@ -609,7 +609,7 @@ def cmd_spectrum(cfg) -> Report:
                    "oracle_converged": converged, "oracle_matvecs": matvecs,
                    "oracle_residual": residual, "oracle_solves": solves,
                    "support_nodes": res.support_nodes, "grid_step": grid_step,
-                   "warning": res.warning},
+                   "weyl_shift": res.weyl_shift},
                   verdict="ok", ok=ok,
                   checked=len(rows) + len(oracle) if judged else 0, holes=0)
 

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import apply_values, free_resolvent, pm_values
+from .multiplier import free_resolvent, pm_values
 from .spaces import x_norm_upper, xstar_norm
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "BsSolve",
     "example_potential",
     "bs_solve",
-    "apply_hamiltonian",
     "LanczosEigs",
     "direct_eigs",
     "EigenScanResult",
@@ -157,36 +156,33 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
     return BsSolve(z, u, resid, counter["n"], converged)
 
 
-def apply_hamiltonian(m: int, V: Potential, u: Field) -> Field:
-    pmu = apply_values(pm_values(u.grid, m), u)
-    return u.with_values(pmu.values + V.real_values() * u.values)
+def _half_multiply(half: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """irfftn(rfftn(u) * half): the multiplier ``half`` on a real field."""
+    spec = np.fft.rfftn(u)
+    spec *= half
+    return np.fft.irfftn(spec)    # n is even: the default length is n
 
 
 def _real_hamiltonian(m: int, V: Potential):
-    """H = P_m(D) + V on raveled real fields, as one rfftn/irfftn pair.
-
-    The symbol |xi|^{2m} is real and even on the lattice, the Nyquist planes
-    included, so P_m(D) maps real fields to real fields; on the half
-    spectrum of the last axis it is the cached symbol, which is in FFT order,
-    cut to its first n//2 + 1 columns."""
+    """H = P_m(D) + V on raveled real fields.  |xi|^{2m} is real and even on
+    the lattice, the Nyquist planes included, so P_m(D) maps real fields to
+    real fields; on the half spectrum it is the cached symbol, which is in
+    FFT order, cut to its first n//2 + 1 columns."""
     shape = V.grid.shape
     half = pm_values(V.grid, m)[..., :shape[-1] // 2 + 1]
     v = np.ascontiguousarray(V.real_values())
 
     def matvec(w: np.ndarray) -> np.ndarray:
         u = w.reshape(shape)
-        spec = np.fft.rfftn(u)
-        spec *= half
-        out = np.fft.irfftn(spec)    # n is even: the default length is n
+        out = _half_multiply(half, u)
         out += v * u
         return out.ravel()
 
     return matvec
 
 
-#: support nodes an eigenvalue count keeps, the strongest ones, and that the
-#: oracle's preconditioner inverts exactly; each factors a dense matrix of
-#: this order
+#: support nodes the Birman-Schwinger model keeps, the strongest ones; the
+#: count and the oracle's preconditioner factor a dense matrix of this order
 MAX_SUPPORT_NODES = 1500
 
 
@@ -198,6 +194,54 @@ def _strongest_nodes(vals: np.ndarray) -> np.ndarray:
         order = np.lexsort((idx, -np.abs(vals[idx])))
         idx = np.sort(idx[order[:MAX_SUPPORT_NODES]])
     return idx
+
+
+class _BirmanSchwinger:
+    """The Birman-Schwinger operator of V on S, its support cut to the
+    strongest nodes: C(s) = D^{-1} + E^T (P_m - s)^{-1} E, with D = diag(V)
+    on S and E the injection of S into the lattice.  ``weyl_shift`` is the
+    largest |V| the cut drops (0.0 when nothing is cut)."""
+
+    def __init__(self, V: Potential, m: int):
+        shape = V.grid.shape
+        vals = V.real_values().ravel()
+        self.support = _strongest_nodes(vals)
+        self.weyl_shift = float(np.max(np.abs(np.delete(vals, self.support)),
+                                       initial=0.0))
+        self.inv_v = 1.0 / vals[self.support]
+        self.half = pm_values(V.grid, m)[..., :shape[-1] // 2 + 1]
+        coords = np.unravel_index(self.support, shape)
+        # flat index of the offset x_j - x_k at [j + 1, k + 1], in FFT order;
+        # the border reads the two values appended to the Green's function
+        size = len(self.support) + 1
+        self.gather = np.full((size, size), vals.size)
+        self.gather[0, 0] = vals.size + 1
+        self.gather[1:, 1:] = np.ravel_multi_index(tuple(
+            (x[:, None] - x[None, :]) % shape[0] for x in coords), shape)
+        # the optimal workspace: dsytrf's default one is unblocked and slow
+        self.lwork = int(dsytrf_lwork(size, lower=1)[0])
+
+    def factor(self, s: float):
+        """The lower dsytrf factors (ldu, ipiv) of C(s) bordered by the
+        constant mode, K(s) = [[N s, 1^T], [1, C(s) + 1 1^T / (N s)]] for N
+        lattice nodes: the Schur complement of N s is C(s), and C's
+        zero-frequency term, which grows like 1/s, does not swamp the rest in
+        rounding as s nears 0.  Raises ValueError at a lattice value of P_m,
+        where C(s) does not exist."""
+        gap = self.half - s
+        if not np.all(gap):
+            raise ValueError(f"lambda = {s} is a lattice value of P_m")
+        # the Green's function (P_m - s)^{-1} delta_0 without its zero
+        # frequency: delta_0 transforms to 1
+        inv = 1.0 / gap
+        inv.flat[0] = 0.0
+        green = np.fft.irfftn(inv).ravel()
+        k = np.take(np.r_[green, 1.0, green.size * s], self.gather)
+        k[1:, 1:][np.diag_indices(len(self.support))] += self.inv_v
+        # k is symmetric: its transpose is the Fortran-ordered copy dsytrf
+        # factors in place
+        ldu, ipiv, _ = dsytrf(k.T, lower=1, lwork=self.lwork, overwrite_a=1)
+        return ldu, ipiv
 
 
 #: relative residual ||b - (H - sigma) x|| / ||b|| that ends a shift-invert
@@ -212,44 +256,28 @@ class _SolveFailed(Exception):
 
 
 def _woodbury_inverse(m: int, V: Potential, sigma: float):
-    """(P_m + V_S - sigma)^{-1} on raveled real fields, V_S being V on its
-    strongest nodes S, by the Birman-Schwinger (Woodbury) identity
+    """(P_m + V_S - sigma)^{-1} on raveled real fields, V_S being V on the
+    Birman-Schwinger model's S, by the Woodbury identity
 
-        (P_m + E D E^T - sigma)^{-1} = R - R E C^{-1} E^T R,
-        R = (P_m - sigma)^{-1},  C = D^{-1} + E^T R E,
+        (P_m + E D E^T - sigma)^{-1} = R - R E C(sigma)^{-1} E^T R,
+        R = (P_m - sigma)^{-1},
 
-    with D = diag(V) on S and E the injection of S into the lattice.  R is
-    one rfftn/irfftn pair; C, symmetric indefinite, is the Green's function
-    g = R delta_0 read at the offsets x_j - x_k and factored once by dsytrf.
-    """
+    R one rfftn/irfftn pair and C(sigma) factored once."""
     shape = V.grid.shape
-    n = V.grid.points_per_axis
-    inv_half = 1.0 / (pm_values(V.grid, m)[..., :shape[-1] // 2 + 1] - sigma)
+    bs = _BirmanSchwinger(V, m)
+    inv_half = 1.0 / (bs.half - sigma)
 
     def resolvent(w: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfftn(w.reshape(shape))
-        spec *= inv_half
-        return np.fft.irfftn(spec).ravel()    # n is even, as in the matvec
+        return _half_multiply(inv_half, w.reshape(shape)).ravel()
 
-    vals = V.real_values().ravel()
-    nodes = _strongest_nodes(vals)
-    if not len(nodes):
-        return resolvent
-    coords = np.unravel_index(nodes, shape)
-    # delta_0 transforms to 1, so g is the inverse transform of 1/(P - sigma)
-    green = np.fft.irfftn(inv_half).ravel()
-    c = np.take(green, np.ravel_multi_index(
-        tuple((x[:, None] - x[None, :]) % n for x in coords), shape))
-    c[np.diag_indices(len(nodes))] += 1.0 / vals[nodes]
-    lwork = int(dsytrf_lwork(len(nodes), lower=1)[0])
-    # c is symmetric: its transpose is the Fortran-ordered copy dsytrf
-    # factors in place
-    ldu, ipiv, _ = dsytrf(c.T, lower=1, lwork=lwork, overwrite_a=1)
+    nodes = bs.support
+    ldu, ipiv = bs.factor(sigma)
 
     def inverse(b: np.ndarray) -> np.ndarray:
         rb = resolvent(b)
         e = np.zeros_like(rb)
-        e[nodes] = dsytrs(ldu, ipiv, rb[nodes], lower=1)[0]
+        # C^{-1} y is the lower block of K^{-1} [0; y]
+        e[nodes] = dsytrs(ldu, ipiv, np.r_[0.0, rb[nodes]], lower=1)[0][1:]
         rb -= resolvent(e)
         return rb
 
@@ -350,63 +378,34 @@ class EigenvalueCounter:
     """Exact counts #{eig H < lambda} of the lattice H = P_m(D) + V, and the
     discrete spectral shift xi(lambda) = #{eig H < lambda} - #{P_m < lambda}.
 
-    Let D = diag(V) on the support S, E the injection of S into the lattice
-    and G(lambda) = E^T (P_m - lambda)^{-1} E the restricted lattice resolvent.
     The bordered matrix [[P_m - lambda, E], [E^T, -D^{-1}]] has the Schur
-    complements H - lambda and -D^{-1} - G(lambda), so inertia additivity
-    (Haynsworth) gives
+    complements H - lambda and -C(lambda) of the Birman-Schwinger model, so
+    inertia additivity (Haynsworth) gives
 
         #{eig H < lambda} = #{P_m < lambda} + xi(lambda),
-        xi(lambda) = n_-(-D^{-1} - G(lambda)) - #{V > 0}.
+        xi(lambda) = #{V < 0 on S} - n_-(C(lambda))
+                   = #{V < 0 on S} + [lambda < 0] - n_-(K(lambda)),
 
-    For real lambda off the lattice values of P_m, G(lambda) is real symmetric,
-    and n_- is read off the pivots of a Bunch-Kaufman LDL^T factorisation,
-    LAPACK's dsytrf (Sylvester's law of inertia).  Per lambda this costs one
-    FFT (the resolvent kernel on all offsets) plus one |S| x |S|
-    factorisation.
+    the last since K(lambda) is C(lambda) bordered by N lambda; n_- is read
+    off the pivots of the model's LDL^T factors (Sylvester's law of
+    inertia).  The counts are those of V on S; with w = ``weyl_shift``,
+    Weyl's inequality brackets those of the full V:
+    N_S(lambda - w) <= N_H(lambda) <= N_S(lambda + w).
     """
 
     def __init__(self, V: Potential, m: int):
-        grid = V.grid
-        vals = V.real_values().ravel()
-        idx = _strongest_nodes(vals)
-        self.warning = None
-        if len(idx) < np.count_nonzero(vals):
-            self.warning = (f"support truncated to {MAX_SUPPORT_NODES} "
-                            "strongest nodes; counts are those of V "
-                            "restricted to them")
-        self.grid, self.pm = grid, pm_values(grid, m)
-        self.nodes = len(idx)
-        v_at = vals[idx]
-        self.inv_v = -1.0 / v_at
-        self.positive = int(np.count_nonzero(v_at > 0))
-        n = grid.points_per_axis
-        coords = np.unravel_index(idx, grid.shape)
-        # flat index of the offset x_j - x_k in the kernel array, which is in
-        # FFT order, at [k, j]: the gathered matrix transposed is in Fortran
-        # order, which dsytrf factors in place
-        self.gather = np.ravel_multi_index(
-            tuple((c[None, :] - c[:, None]) % n for c in coords), grid.shape)
-        # the optimal workspace: dsytrf's default one is unblocked and slow
-        self.lwork = int(dsytrf_lwork(max(self.nodes, 1), lower=1)[0])
+        self.model = _BirmanSchwinger(V, m)
+        self.pm = pm_values(V.grid, m)
+        self.nodes = len(self.model.support)
+        self.weyl_shift = self.model.weyl_shift
+        self.negative = int(np.count_nonzero(self.model.inv_v < 0))
 
     def xi(self, lam: float) -> int:
-        """n_-(-D^{-1} - G(lambda)) - #{V > 0}; raises ValueError at a
-        lattice value of P_m, where G(lambda) does not exist."""
+        """Raises ValueError at a lattice value of P_m (C does not exist)."""
         if self.nodes == 0:
             return 0
-        gap = self.pm - lam
-        if not np.all(gap):
-            raise ValueError(f"lambda = {lam} is a lattice value of P_m")
-        # the resolvent kernel (2L)^{-d} sum_xi exp(-i xi.x) / gap(xi) on
-        # every offset x, in FFT order like gap
-        kernel = np.fft.fftn(1.0 / gap)
-        kernel *= (1.0 / (2.0 * self.grid.half_width)) ** self.grid.dimension
-        a = np.take(kernel.real, self.gather).T
-        a *= -self.grid.cell_volume
-        a[np.diag_indices(self.nodes)] += self.inv_v
-        ldu, ipiv, _ = dsytrf(a, lower=1, lwork=self.lwork, overwrite_a=1)
-        return _negative_inertia(ldu, ipiv) - self.positive
+        return (self.negative + int(lam < 0)
+                - _negative_inertia(*self.model.factor(lam)))
 
     def count(self, lam: float) -> int:
         return int(np.count_nonzero(self.pm < lam)) + self.xi(lam)
@@ -438,7 +437,7 @@ class EigenScanResult:
     counts: np.ndarray             # #{eig H < lambda} at those points
     candidates: list               # (eigenvalue, multiplicity)
     support_nodes: int
-    warning: Optional[str] = None
+    weyl_shift: float              # the largest |V| the support cut drops
 
 
 def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
@@ -474,7 +473,7 @@ def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
         cells += [(mid, hi), (lo, mid)]
     lam = np.array(sorted(counts))
     return EigenScanResult(lam, np.array([counts[l] for l in lam]),
-                           candidates, counter.nodes, counter.warning)
+                           candidates, counter.nodes, counter.weyl_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import settings
 from numpy.polynomial.legendre import leggauss
 
 from laplab.lattice import Field, GridSpec, PHYSICAL, sample
+from laplab.multiplier import apply_values, pm_values
 
 # few examples, no time limit, and the same examples on every run
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True,
@@ -48,6 +49,13 @@ def gaussian_field(grid, width=1.0, center=None, wavevector=None) -> Field:
     vals = np.exp(-r2 / (2.0 * width**2)) * np.exp(1j * ph)
     return Field(grid, np.ascontiguousarray(np.broadcast_to(vals, grid.shape)),
                  PHYSICAL)
+
+
+def apply_hamiltonian(m, V, u: Field) -> Field:
+    """H u = P_m(D) u + V u on the complex multiply path, the oracle of the
+    library's real rfftn/irfftn matvec."""
+    pmu = apply_values(pm_values(u.grid, m), u)
+    return u.with_values(pmu.values + V.real_values() * u.values)
 
 
 def unit_sphere_rule(d: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:

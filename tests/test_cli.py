@@ -265,7 +265,7 @@ class TestSweepCommand:
         grid = GridSpec(**DEFAULTS["grid"])
         nodes = int(np.count_nonzero(
             np.broadcast_to(grid.radius_grid(), grid.shape) <= 1.0))
-        assert s["eigen_prescan"] == {"support_nodes": nodes, "warning": None}
+        assert s["eigen_prescan"] == {"support_nodes": nodes, "weyl_shift": 0.0}
         assert code in (EXIT_OK, EXIT_CRITERIA)
         for key in ("drift_ok", "holes", "last_decade_drift", "drift_limit"):
             assert key in s
@@ -283,7 +283,7 @@ class TestSweepCommand:
     def test_no_prescan_without_potential(self, tmp_path):
         _, out = run(["sweep"] + self.SMALL, tmp_path, "free")
         s = read_summary(out / "sweep.json")
-        assert s["eigen_prescan"] == {"support_nodes": 0, "warning": None}
+        assert s["eigen_prescan"] == {"support_nodes": 0, "weyl_shift": 0.0}
 
 
 class TestNorms:
@@ -482,7 +482,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.7.0", "family/1"]
+                                   "laplab/0.8.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

@@ -152,3 +152,11 @@ def test_detector_flags_a_dead_definition():
     assert dead_definitions({"lib.py": lib},
                             {"lib.py": lib, "user.py": user}) == [
         "lib.py: C.orphan", "lib.py: dead"]
+
+
+def test_package_versions_agree():
+    # __version__, which every table header carries, is the declared one
+    import laplab
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert found and found.group(1) == laplab.__version__

@@ -16,7 +16,6 @@ from laplab.multiplier import free_resolvent, pm_values
 from laplab.perturb import (
     EigenvalueCounter,
     Potential,
-    apply_hamiltonian,
     bs_solve,
     direct_eigs,
     eigen_scan,
@@ -28,7 +27,7 @@ from laplab.spaces import (LorentzExponents, lorentz_norm, xstar_norm,
                            x_norm_upper)
 from laplab.family import FamilySpec, standard_family
 
-from conftest import PROPERTY, gaussian_field
+from conftest import PROPERTY, apply_hamiltonian, gaussian_field
 
 
 def well_potential(grid, depth=-10.0, radius=1.0) -> Potential:
@@ -258,6 +257,18 @@ class TestHamiltonian:
         res = self._dense_check(1)
         assert res.matvecs > 2 * res.solves
 
+    def test_direct_eigs_with_a_wrong_factorisation(self, monkeypatch):
+        # the Birman-Schwinger model hands the oracle the factors of -C
+        # instead of C: the preconditioner is wrong, CG carries the solves,
+        # and the values are still those of the dense matrix.  That takes
+        # about a hundred CG steps per solve, so the budget is raised past
+        # the default, whose miss would end the run unconverged
+        monkeypatch.setattr(perturb, "dsytrf",
+                            lambda a, **kw: dsytrf(-a, **kw))
+        monkeypatch.setattr(perturb, "SOLVE_MAXITER", 1000)
+        res = self._dense_check(1)
+        assert res.matvecs > res.solves + 6
+
     def test_failed_solve_is_reported(self, monkeypatch):
         # a cut preconditioner with no CG step allowed misses SOLVE_TOL
         monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 40)
@@ -301,6 +312,36 @@ class TestHamiltonian:
         assert inner > 10.0 * outer
 
 
+class TestGreenFunction:
+    @pytest.mark.parametrize("lam", [-0.7, 0.45])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("grid", [GridSpec(2, 6.0, 32),
+                                      GridSpec(3, 6.0, 16)],
+                             ids=["d2", "d3"])
+    def test_gather_matches_full_fft(self, grid, m, lam, monkeypatch):
+        # the model's irfftn Green's function on S x S, the Schur complement
+        # of the corner of its bordered matrix, against the full complex
+        # transform (2L)^{-d} h^d fftn(1/(P_m - lambda)), read at the offsets
+        # x_j - x_k by an index of its own
+        bs = perturb._BirmanSchwinger(core_shell_potential(grid), m)
+        bs.inv_v = np.zeros_like(bs.inv_v)    # C(lambda) is then G alone
+        seen = []
+        monkeypatch.setattr(perturb, "dsytrf",
+                            lambda a, **kw: seen.append(a.copy()) or
+                            dsytrf(a, **kw))
+        bs.factor(lam)
+        k = seen[0]
+        got = k[1:, 1:] - np.outer(k[1:, 0], k[0, 1:]) / k[0, 0]
+        kernel = np.fft.fftn(1.0 / (pm_values(grid, m) - lam)).real
+        kernel *= (grid.cell_volume
+                   / (2.0 * grid.half_width) ** grid.dimension)
+        n = grid.points_per_axis
+        x = np.array(np.unravel_index(bs.support, grid.shape)).T
+        offsets = (x[:, None, :] - x[None, :, :]) % n
+        ref = kernel[tuple(np.moveaxis(offsets, -1, 0))]
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 class TestInertiaCount:
     LAMBDAS = np.linspace(-7.0, 3.3, 12)
 
@@ -310,7 +351,8 @@ class TestInertiaCount:
     def test_counts_match_dense_eigvalsh(self, grid):
         V = core_shell_potential(grid)
         counter = EigenvalueCounter(V, 1)
-        assert counter.positive > 0 and counter.nodes > counter.positive
+        # V has both signs on the kept nodes
+        assert 0 < counter.negative < counter.nodes
         eigs = dense_spectrum(V)
         assert len(eigs) == grid.points_per_axis**grid.dimension
         for lam in self.LAMBDAS:
@@ -346,7 +388,7 @@ class TestInertiaCount:
 
     def test_xi_vanishes_for_zero_potential(self, g3_well):
         counter = EigenvalueCounter(zero_potential(g3_well), 1)
-        assert counter.nodes == 0 and counter.warning is None
+        assert counter.nodes == 0 and counter.weyl_shift == 0.0
         assert [counter.xi(lam) for lam in np.linspace(-2.0, 3.0, 11)] == \
             [0] * 11
 
@@ -354,6 +396,34 @@ class TestInertiaCount:
         counter = EigenvalueCounter(well_potential(g3_well, depth=-8.0), 1)
         with pytest.raises(ValueError, match="lattice value"):
             counter.count(float(pm_values(g3_well, 1).flat[1]))
+
+    def test_counts_next_to_zero_match_dense_eigvalsh(self):
+        # the zero-frequency term of C(lambda) grows like 1/lambda; the
+        # unbordered C counted -39 below 1e-30, where eigvalsh counts 3
+        V = core_shell_potential(GridSpec(2, 6.0, 32))
+        counter = EigenvalueCounter(V, 1)
+        eigs = dense_spectrum(V)
+        for lam in (1e-300, 1e-30, 1e-17, -1e-17, -1e-100):
+            assert counter.count(lam) == np.count_nonzero(eigs < lam)
+
+    def test_weyl_shift_brackets_the_full_count(self, monkeypatch):
+        # 40 of the nodes kept: the 21 of the core and 19 of the +3 shell
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 40)
+        V = core_shell_potential(GridSpec(2, 6.0, 32))
+        counter = EigenvalueCounter(V, 1)
+        w = counter.weyl_shift
+        assert counter.nodes == 40
+        assert w == np.sort(np.abs(V.real_values().ravel()))[::-1][40] == 3.0
+        eigs = dense_spectrum(V)
+        cut_moves_a_count = False
+        for lam in self.LAMBDAS:
+            full = np.count_nonzero(eigs < lam)
+            # Weyl: ||V - V_S|| <= w
+            assert counter.count(lam - w) <= full <= counter.count(lam + w)
+            # the dropped part is >= 0, so H >= H_S: the upper side is exact
+            assert full <= counter.count(lam)
+            cut_moves_a_count |= full != counter.count(lam)
+        assert cut_moves_a_count
 
 
 @functools.lru_cache(maxsize=1)
@@ -418,11 +488,14 @@ class TestEigenScan:
         for (la, _), (lb, _) in zip(a.candidates, b.candidates):
             assert abs(la - lb) <= 1e-12 * abs(lb)
 
-    def test_truncation_warning(self, g3_well, monkeypatch):
-        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 50)
+    def test_truncation_weyl_shift(self, g3_well, monkeypatch):
         V = well_potential(g3_well, depth=-8.0, radius=1.5)
         res = eigen_scan(V, 1, (-2.0, -1.0), steps=5)
-        assert res.warning is not None and "50" in res.warning
+        assert res.weyl_shift == 0.0
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 50)
+        res = eigen_scan(V, 1, (-2.0, -1.0), steps=5)
+        # every dropped node carries the well's depth
+        assert res.support_nodes == 50 and res.weyl_shift == 8.0
 
 
 class TestPerturbedSweep:
