@@ -28,8 +28,9 @@ from .boundary import (BoundarySpec, boundary_pairing, decay_scan,
                        epsilon_limit_pairing)
 from .family import FAMILY_VERSION, FamilySpec, standard_family
 from .lattice import DEFAULT_MAX_POINTS, Field, GridSpec, PHYSICAL
-from .perturb import (EigenvalueCounter, Potential, direct_eigs, eigen_scan,
-                      example_potential, lap_perturbed_sweep)
+from .perturb import (BISECTION_WIDTH, EigenvalueCounter, Potential,
+                      direct_eigs, eigen_scan, example_potential,
+                      lap_perturbed_sweep)
 from .spaces import (LorentzExponents, b_norm, bstar_norm, lorentz_norm,
                      lp_norm, slab_l2_profile, stein_tomas_exponent,
                      x_norm_upper, xstar_norm)
@@ -58,7 +59,7 @@ DEFAULTS = {
                    "sqrt2_slack": 1e-6, "solver": 1e-10},
     "kernel": {"lambda": 1.0, "radii": [5.0, 10.0, 20.0, 40.0],
                "n_directions": 3, "tol": 1e-6, "band_factor": 3.0},
-    "spectrum": {"interval": [-8.0, -0.5], "steps": 151, "oracle_rel": 0.01},
+    "spectrum": {"interval": [-8.0, -0.5], "oracle_rel": 0.01},
     "potential_report": {"q": 2.0, "truncations": [4, 8, 16, 32, 64],
                          "reference": 128, "points_per_axis": 512},
     "eigen_margin": 0.1,
@@ -251,7 +252,6 @@ def validate_config(cfg: dict) -> list:
                           f"{interval}")
         elif interval[0] <= 0 <= interval[1]:
             errors.append(f"spectrum.interval: must avoid 0, got {interval}")
-    _num(cfg, "spectrum.steps", 2, integer=True, errors=errors)
     _num(cfg, "spectrum.oracle_rel", above=0, errors=errors)
     _num(cfg, "potential_report.q", above=1, errors=errors)
     _num_list(cfg, "potential_report.truncations", 1, integer=True,
@@ -572,10 +572,10 @@ def cmd_spectrum(cfg) -> Report:
     sc = cfg["spectrum"]
     V = _potential(cfg, grid)
     interval = (float(sc["interval"][0]), float(sc["interval"][1]))
-    steps = int(sc["steps"])
     gate = float(sc["oracle_rel"])
-    res = eigen_scan(V, m, interval, steps=steps)
-    grid_step = (interval[1] - interval[0]) / (steps - 1)
+    res = eigen_scan(V, m, interval)
+    # the widest bracket the scan can leave around a candidate
+    grid_step = BISECTION_WIDTH * max(1.0, abs(interval[0]), abs(interval[1]))
     oracle, converged, residual, matvecs, solves = [], None, None, 0, 0
     judged = not V.is_zero() and interval[1] < 0
     if judged:

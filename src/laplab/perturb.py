@@ -58,9 +58,6 @@ class Potential:
     def is_zero(self) -> bool:
         return not np.any(self.real_values())
 
-    def apply(self, u: Field) -> Field:
-        return u.with_values(self.real_values() * u.values)
-
 
 #: largest relative rounding error of a staircase shell's grid measure
 SHELL_MEASURE_TOL = 0.01
@@ -440,15 +437,16 @@ class EigenScanResult:
     weyl_shift: float              # the largest |V| the support cut drops
 
 
-def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
-               steps: int = 120) -> EigenScanResult:
+def eigen_scan(V: Potential, m: int,
+               interval: tuple[float, float]) -> EigenScanResult:
     """Every eigenvalue of H = P_m(D) + V in [a, b], with its multiplicity.
 
-    Counts #{eig H < lambda} exactly on a ``steps``-point grid, then bisects
-    each grid cell where the count jumps until its bracket is narrower than
+    Counts #{eig H < lambda} exactly at a and b, then bisects every cell
+    where the count jumps until its bracket is narrower than
     ``BISECTION_WIDTH * max(1, |lambda|)``; eigenvalues closer than that are
-    one candidate.  The count is taken at real lambda, so the scan has no
-    side lambda +- i0 to choose.
+    one candidate.  The count does not decrease in lambda, so a cell whose
+    ends agree holds no eigenvalue.  The count is taken at real lambda, so
+    the scan has no side lambda +- i0 to choose.
     """
     a, b = interval
     if a >= b:
@@ -456,9 +454,8 @@ def eigen_scan(V: Potential, m: int, interval: tuple[float, float],
     if a <= 0 <= b:
         raise ValueError("interval must avoid 0")
     counter = EigenvalueCounter(V, m)
-    grid_lam = [float(l) for l in np.linspace(a, b, steps)]
-    counts = {l: counter.count(l) for l in grid_lam}
-    cells = list(zip(grid_lam[:-1], grid_lam[1:]))[::-1]
+    counts = {a: counter.count(a), b: counter.count(b)}
+    cells = [(a, b)]
     candidates = []
     while cells:
         lo, hi = cells.pop()

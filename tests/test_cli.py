@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
+import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from laplab.cli import (
     validate_config,
     write_table,
 )
-from laplab import cli
+from laplab import cli, perturb
 from laplab.lattice import GridSpec
 
 
@@ -111,7 +114,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,setting,field", [
         ("spectrum", "spectrum.interval=[1]", "spectrum.interval"),
-        ("spectrum", "spectrum.steps=1", "spectrum.steps"),
         ("spectrum", "spectrum.oracle_rel=0", "spectrum.oracle_rel"),
         ("kernel", "kernel.radii=5", "kernel.radii"),
         ("kernel", "kernel.radii=[5,\"far\"]", "kernel.radii[1]"),
@@ -157,6 +159,7 @@ class TestExitCodes:
         ("norms", "grid.point_per_axis=32", "grid.point_per_axis"),
         ("norms", "tolerance.sqrt2_slack=1", "tolerance"),
         ("sweep", "potential.dept=-3", "potential.dept"),
+        ("spectrum", "spectrum.steps=1", "spectrum.steps"),
         pytest.param("norms", ["grid.dimension=4", "grid.points_per_axis=128"],
                      "grid.points_per_axis", id="norms-grid-over-budget"),
     ])
@@ -168,8 +171,12 @@ class TestExitCodes:
         code, _ = run([command] + [a for s in settings for a in ("--set", s)]
                       + seed, tmp_path, "badsec")
         assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
         # a section that is not an object is reported once, not per field
-        assert capsys.readouterr().err.count(f"config error: {field}:") == 1
+        assert err.count(f"config error: {field}:") == 1
+        if setting == "spectrum.steps=1":
+            # the scan counts at the two ends; the grid option is gone
+            assert "spectrum.steps: unknown field" in err
 
     @pytest.mark.parametrize("command,setting,field", [
         ("sweep", "eigen_margin=NaN", "eigen_margin"),
@@ -328,6 +335,29 @@ class TestSpectrumCommand:
             assert 0 < float(width) <= 1e-12 * max(1.0, abs(float(cand)))
             assert float(rel) <= 1e-10
 
+    def test_benchmark_reads_the_output(self, tmp_path, monkeypatch):
+        # bench/workloads.py reads the spectrum table's columns and the
+        # summary's keys by name, so renaming one breaks the benchmark
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads",
+            pathlib.Path(__file__).resolve().parents[1] / "bench"
+            / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        sets = workloads.SPECTRUM_SETS + ["grid.points_per_axis=32"]
+        cfg = workloads._config(cli, sets, None)
+        nodes = int(np.count_nonzero(
+            workloads._well(cfg, workloads._grid(cfg)).real_values()))
+        code, out = run(["spectrum"] + [a for s in sets for a in ("--set", s)],
+                        tmp_path, "bench")
+        check = workloads._check_spectrum(cfg, nodes, code, str(out))
+        assert check.ok, check.detail
+        # the widest bracket the scan can leave on [-8, -0.5]
+        s = read_summary(out / "spectrum.json")
+        assert s["grid_step"] == perturb.BISECTION_WIDTH * 8.0
+
     def test_second_order_well_finishes(self, tmp_path):
         # m = 2 spans the lattice spectrum up to about 3e4 here; shift-invert
         # Lanczos reaches the bottom of it in few solves
@@ -459,8 +489,7 @@ class TestDeterminism:
         # the Lanczos oracle column depends on the eigensolver's start vector
         args = ["spectrum", "--set", "potential.kind=well",
                 "--set", "potential.depth=-8",
-                "--set", "grid.points_per_axis=32",
-                "--set", "spectrum.steps=31"]
+                "--set", "grid.points_per_axis=32"]
         _, out1 = run(args, tmp_path, "sp1")
         _, out2 = run(args, tmp_path, "sp2")
         a = (out1 / "spectrum.csv").read_bytes()
@@ -482,7 +511,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.8.0", "family/1"]
+                                   "laplab/0.9.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

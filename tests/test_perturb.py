@@ -104,11 +104,6 @@ class TestPotential:
         with pytest.raises(ValueError, match="finite"):
             Potential(field=Field(g2, vals, PHYSICAL))
 
-    def test_apply_is_pointwise(self, g2, gauss2):
-        V = well_potential(g2, depth=-3.0)
-        out = V.apply(gauss2)
-        assert np.allclose(out.values, V.real_values() * gauss2.values)
-
 
 class TestExamplePotential:
     def test_single_shell_measure(self, g2):
@@ -433,7 +428,7 @@ def _mixed_counter():
 
 class TestEigenScan:
     def test_zero_potential(self, g3_well):
-        res = eigen_scan(zero_potential(g3_well), 1, (-8.0, -0.5), steps=20)
+        res = eigen_scan(zero_potential(g3_well), 1, (-8.0, -0.5))
         assert res.candidates == [] and res.support_nodes == 0
         pm = pm_values(g3_well, 1)
         assert res.counts.tolist() == [np.count_nonzero(pm < lam)
@@ -442,7 +437,7 @@ class TestEigenScan:
     def test_zero_potential_finds_lattice_values(self, g3_well):
         # H = P_m: the candidates are the lattice values of |xi|^2 in the
         # interval, each with its multiplicity
-        res = eigen_scan(zero_potential(g3_well), 1, (0.5, 2.0), steps=31)
+        res = eigen_scan(zero_potential(g3_well), 1, (0.5, 2.0))
         pm = pm_values(g3_well, 1).ravel()
         # |xi|^2 = k (pi/L)^2 with k a sum of d squares
         k = np.round(pm / g3_well.freq_step**2)
@@ -462,14 +457,14 @@ class TestEigenScan:
 
     def test_well_ground_state_matches_lanczos(self, g3_well):
         V = well_potential(g3_well, depth=-8.0)
-        res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
+        res = eigen_scan(V, 1, (-8.0, -0.5))
         oracle = direct_eigs(1, V, k=3).values
         assert res.candidates == [(pytest.approx(oracle[0], rel=1e-10), 1)]
         assert oracle[1] > -0.5
 
     def test_d2_well_matches_lanczos_with_multiplicity(self, g2):
         V = well_potential(g2, depth=-8.0)
-        res = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
+        res = eigen_scan(V, 1, (-8.0, -0.5))
         oracle = direct_eigs(1, V, k=6).values
         inside = oracle[oracle <= -0.5]
         assert [m for _, m in res.candidates] == [1, 2]
@@ -480,20 +475,30 @@ class TestEigenScan:
         assert np.all(np.diff(res.lambdas) > 0)
         assert res.counts[-1] == len(inside)
 
-    def test_candidates_independent_of_steps(self, g3_well):
-        V = well_potential(g3_well, depth=-8.0)
-        a = eigen_scan(V, 1, (-8.0, -0.5), steps=31)
-        b = eigen_scan(V, 1, (-8.0, -0.5), steps=151)
-        assert [m for _, m in a.candidates] == [m for _, m in b.candidates]
-        for (la, _), (lb, _) in zip(a.candidates, b.candidates):
-            assert abs(la - lb) <= 1e-12 * abs(lb)
+    def test_scan_misses_nothing_and_stays_cheap(self, g2, g3_well):
+        a, b = -8.0, -0.5
+        # bisection adds at most this many counts per candidate
+        depth = math.ceil(math.log2((b - a) / perturb.BISECTION_WIDTH))
+        for grid in (g2, g3_well):
+            V = well_potential(grid, depth=-8.0)
+            res = eigen_scan(V, 1, (a, b))
+            # the oracle: exact counts on a fine grid, whose every jump must
+            # hold candidates of the same total multiplicity
+            counter = EigenvalueCounter(V, 1)
+            lams = np.linspace(a, b, 151)
+            counts = [counter.count(lam) for lam in lams]
+            for lo, hi, jump in zip(lams[:-1], lams[1:], np.diff(counts)):
+                assert sum(mult for lam, mult in res.candidates
+                           if lo <= lam < hi) == jump
+            assert res.candidates
+            assert len(res.lambdas) <= 2 + len(res.candidates) * depth
 
     def test_truncation_weyl_shift(self, g3_well, monkeypatch):
         V = well_potential(g3_well, depth=-8.0, radius=1.5)
-        res = eigen_scan(V, 1, (-2.0, -1.0), steps=5)
+        res = eigen_scan(V, 1, (-2.0, -1.0))
         assert res.weyl_shift == 0.0
         monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", 50)
-        res = eigen_scan(V, 1, (-2.0, -1.0), steps=5)
+        res = eigen_scan(V, 1, (-2.0, -1.0))
         # every dropped node carries the well's depth
         assert res.support_nodes == 50 and res.weyl_shift == 8.0
 
