@@ -559,7 +559,8 @@ def cmd_sweep(cfg) -> Report:
     return Report(header, rows,
                   {"sup": report["sup"], "sup_by_eps": report["sup_by_eps"],
                    "last_decade_drift": drift, "drift_limit": drift_limit,
-                   "holes": report["holes"], "eigen_prescan": prescan},
+                   "holes": report["holes"], "eigen_prescan": prescan,
+                   "diagnostics": report["diagnostics"]},
                   verdict="drift_ok",
                   ok=not checked or (np.isfinite(drift)
                                      and drift < drift_limit),

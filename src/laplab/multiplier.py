@@ -22,6 +22,7 @@ __all__ = [
     "apply_values",
     "apply_symbol",
     "free_resolvent",
+    "free_resolvent_norm",
     "pm_values",
     "bessel_values",
     "chi_values",
@@ -146,3 +147,11 @@ def free_resolvent(z: complex, m: int, f: Field) -> Field:
     symbol values; boundary values on (0, infinity) live in the boundary module.
     """
     return apply_values(_resolvent_values(f.grid, m, complex(z)), f)
+
+
+def free_resolvent_norm(z: complex, m: int, f: Field) -> float:
+    """The plain l2 norm of the values of ``free_resolvent(z, m, f)``, by
+    Parseval from one inverse FFT: numpy's fftn scales norms by sqrt(n^d)."""
+    r = np.fft.ifftn(f.values)
+    r *= _resolvent_values(f.grid, m, complex(z))
+    return math.sqrt(r.size) * float(np.linalg.norm(r))

@@ -291,6 +291,23 @@ class TestSweepCommand:
         _, out = run(["sweep"] + self.SMALL, tmp_path, "free")
         s = read_summary(out / "sweep.json")
         assert s["eigen_prescan"] == {"support_nodes": 0, "weyl_shift": 0.0}
+        assert s["diagnostics"] == {"bs_solves": 0, "bs_iterations": 0,
+                                    "bs_unknowns": 0}
+
+    def test_work_counts_repeat(self, tmp_path):
+        args = ["sweep", "--set", "potential.kind=\"well\"",
+                "--set", "potential.depth=-0.05"] + self.SMALL
+        _, out1 = run(args, tmp_path, "w1")
+        _, out2 = run(args, tmp_path, "w2")
+        s1 = read_summary(out1 / "sweep.json")
+        s2 = read_summary(out2 / "sweep.json")
+        assert s1["diagnostics"] == s2["diagnostics"]
+        # one solve per cell and family member, on the well's support
+        _, _, rows = read_table(out1 / "sweep.csv")
+        diag = s1["diagnostics"]
+        assert diag["bs_solves"] == len(rows) == 2
+        assert diag["bs_unknowns"] == s1["eigen_prescan"]["support_nodes"]
+        assert diag["bs_iterations"] >= diag["bs_solves"]
 
 
 class TestNorms:
@@ -511,7 +528,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.9.0", "family/1"]
+                                   "laplab/0.10.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

@@ -184,6 +184,65 @@ class TestBsSolve:
         assert sol.converged
         assert pde_residual(sol, 2, V, gauss2) < 1e-8
 
+    def test_matches_dense_solve(self):
+        grid = GridSpec(2, 4.0, 16)
+        V = well_potential(grid, depth=-4.0)
+        f = gaussian_field(grid, 1.0, center=(0.5, 0.0))
+        z = 1.0 + 0.1j
+
+        def resolvent(vals):
+            return free_resolvent(z, 1, Field(grid, vals.reshape(grid.shape),
+                                              PHYSICAL)).values.ravel()
+
+        # the dense (Id + R_0 V) of the whole lattice, column by column
+        eye = np.eye(grid.points_per_axis ** 2)
+        r0 = np.column_stack([resolvent(e) for e in eye])
+        v = V.real_values().ravel()
+        rhs = resolvent(f.values)
+        dense = np.linalg.solve(eye + r0 * v, rhs)
+        sol = bs_solve(z, 1, V, f)
+        assert sol.converged
+        u = sol.u.values.ravel()
+        assert np.linalg.norm(u - dense) <= 1e-9 * np.linalg.norm(dense)
+        explicit = np.linalg.norm(u + resolvent(v * u) - rhs) \
+            / np.linalg.norm(rhs)
+        assert abs(sol.residual - explicit) <= 1e-15
+
+    def test_krylov_space_is_the_support(self, g2, gauss2, monkeypatch):
+        shapes, lgmres = [], perturb.lgmres
+
+        def recording(A, b, **kwargs):
+            shapes.append(A.shape)
+            return lgmres(A, b, **kwargs)
+
+        monkeypatch.setattr(perturb, "lgmres", recording)
+        well = well_potential(g2, depth=-1.0)
+        gauss = Potential(gauss2.with_values(-0.5 * gauss2.values))
+        for V in (well, gauss):
+            assert bs_solve(1.0 + 0.1j, 1, V, gauss2).converged
+        nodes = np.count_nonzero(well.real_values())
+        assert 0 < nodes < g2.points_per_axis ** 2
+        assert np.all(gauss.real_values())
+        assert shapes == [(nodes, nodes), (g2.points_per_axis ** 2,) * 2]
+
+    def test_strong_well_meets_tol(self, g2, gauss2):
+        # the stop is on the support residual, which R_0 E D amplifies about
+        # fivefold here: the returned residual still meets tol
+        V = well_potential(g2, depth=-20.0)
+        sol = bs_solve(2.0 + 0.001j, 1, V, gauss2, tol=1e-10)
+        assert sol.converged and sol.residual <= 1e-10
+        assert pde_residual(sol, 1, V, gauss2) < 1e-8
+
+    def test_far_right_hand_side_converges(self, g2):
+        V = well_potential(g2, depth=-8.0)
+        f = gaussian_field(g2, 0.5, center=(5.0, 5.0))
+        for z in (1.0 + 0.1j, -30.0 + 0.0j):
+            sol = bs_solve(z, 1, V, f, tol=1e-10)
+            assert sol.converged and sol.residual <= 1e-10
+        # at z = -30, R_0 f on the well is 1e-13 of its norm, below the stop
+        # threshold tol * ||R_0 f||: lgmres's first residual check ends it
+        assert sol.iterations == 1
+
 
 class TestHamiltonian:
     def test_symmetry(self, g3_well):
