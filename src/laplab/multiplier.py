@@ -4,7 +4,9 @@ Bessel potentials (1 + |xi|^2)^{alpha/2}, smooth shell cutoffs around
 
 Every multiplier is an array on the frequency lattice in FFT order (zero
 frequency first, as ``GridSpec.freq_grids``); the ones that are reused are
-cached and read-only, and every multiply goes through ``apply_values``.
+cached and read-only, and every multiply of a field goes through
+``apply_values``.  ``support_resolvent`` applies the free resolvent among a
+set of lattice nodes alone, as a convolution on their bounding box.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ __all__ = [
     "apply_symbol",
     "free_resolvent",
     "free_resolvent_norm",
+    "support_box",
+    "support_resolvent",
     "pm_values",
     "bessel_values",
     "chi_values",
@@ -125,7 +129,9 @@ def apply_symbol(values: np.ndarray, f: Field) -> Field:
     return apply_values(values, f)
 
 
-@functools.lru_cache(maxsize=1)  # all matvecs of one solve share z
+# a solve's right-hand side, box kernel, reconstruction and residual share z,
+# and so do the solves of one sweep cell
+@functools.lru_cache(maxsize=1)
 def _resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(
@@ -155,3 +161,70 @@ def free_resolvent_norm(z: complex, m: int, f: Field) -> float:
     r = np.fft.ifftn(f.values)
     r *= _resolvent_values(f.grid, m, complex(z))
     return math.sqrt(r.size) * float(np.linalg.norm(r))
+
+
+def _smooth_length(k: int) -> int:
+    """The least 2-3-5-smooth integer >= k, a length numpy's FFT runs fast."""
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
+def support_box(grid: GridSpec,
+                nodes: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The FFT shape on which ``support_resolvent`` runs for the lattice
+    nodes ``nodes`` (flat indices), and their flat indices in it.
+
+    Along an axis on which the nodes span b entries of the lattice, the box
+    has N = min(n, 2-3-5-smooth length >= 2b - 1) entries.  With N >= 2b - 1
+    every offset between two nodes is a distinct residue mod N, so a
+    circular convolution on N entries is exact among the nodes; N = n is the
+    lattice's own periodic product.  Nodes that touch both ends of an axis
+    span all n entries of it.
+    """
+    n = grid.points_per_axis
+    coords = np.unravel_index(nodes, grid.shape)
+    low = [int(c.min()) for c in coords]
+    box = tuple(min(n, _smooth_length(2 * (int(c.max()) - lo) + 1))
+                for c, lo in zip(coords, low))
+    return box, np.ravel_multi_index(
+        tuple(c - lo for c, lo in zip(coords, low)), box)
+
+
+@functools.lru_cache(maxsize=1)  # every solve of one sweep cell shares it
+def _box_resolvent_values(grid: GridSpec, m: int, z: complex,
+                          box: tuple[int, ...]) -> np.ndarray:
+    """fftn of the Green's function g_z = R_0(z) delta_0 folded onto
+    ``box``.  The resolvent symbol r is even on the lattice, the Nyquist
+    planes included, so R_0 y = fftn(r ifftn(y)) is y convolved with
+    g_z = ifftn(r).  Along an axis of N box entries, offsets o <= N // 2
+    read g_z at o and the others at o - N, that is o - N + n."""
+    n = grid.points_per_axis
+    green = np.fft.ifftn(_resolvent_values(grid, m, z))
+    folds = []
+    for N in box:
+        o = np.arange(N)
+        folds.append(np.where(o <= N // 2, o, o - N + n))
+    return _cached(np.fft.fftn(green[np.ix_(*folds)]))
+
+
+def support_resolvent(z: complex, m: int, grid: GridSpec, nodes: np.ndarray):
+    """E^T R_0(z) E, E the injection of the lattice nodes ``nodes`` (flat
+    indices): a function that maps values x on the nodes to the values of
+    R_0(z) E x on them, by one FFT pair on ``support_box``'s shape."""
+    box, flat = support_box(grid, nodes)
+    kernel = _box_resolvent_values(grid, m, complex(z), box)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        w = np.zeros(box, dtype=np.complex128)
+        w.ravel()[flat] = x     # w is contiguous: ravel is a view
+        np.fft.fftn(w, out=w)
+        w *= kernel
+        return np.fft.ifftn(w, out=w).ravel()[flat]
+
+    return apply

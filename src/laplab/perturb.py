@@ -15,7 +15,8 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import free_resolvent, free_resolvent_norm, pm_values
+from .multiplier import (free_resolvent, free_resolvent_norm, pm_values,
+                         support_box, support_resolvent)
 from .spaces import x_norm_upper, xstar_norm
 
 __all__ = [
@@ -112,7 +113,10 @@ class BsSolve:
     # ||(Id + R_0 V) u - R_0 f|| / ||R_0 f|| of the returned u on the whole
     # lattice, which is ||R_0 E D (u[S] - u_S)|| / ||R_0 f||
     residual: float
+    # lgmres's outer cycles and its products with Id + E^T R_0 E D,
+    # resumptions included
     iterations: int
+    matvecs: int
     converged: bool
 
 
@@ -126,23 +130,27 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
 
     V acts only through its values on its support S, so lgmres solves the
     support system u_S + E^T R_0 E D u_S = E^T R_0 f, with D = diag(V) on S
-    and E the injection of S into the lattice: each matvec scatters D x into
-    a zero field, applies R_0(z) and gathers at S.  It starts from the Born
-    term E^T R_0 f and stops once the support residual is at most
-    ``tol * ||R_0 f||``, a threshold that does not shrink when f lives away
-    from V.  Then u = R_0 f - R_0 E D u_S on the whole lattice, which solves
-    the equation up to ``residual``, read by Parseval from one inverse FFT.
-    While ``residual`` misses ``tol``, lgmres resumes from u_S with its stop
-    scaled down by the miss.  A solve costs k + 2 applications of R_0(z) for
-    k matvecs, and one more per resumption, whatever the size of S.
+    and E the injection of S into the lattice: each matvec applies
+    E^T R_0(z) E to D x as a convolution on S's bounding box
+    (``support_resolvent``).  It starts from the Born term E^T R_0 f and
+    stops once the support residual is at most ``tol * ||R_0 f||``, a
+    threshold that does not shrink when f lives away from V.  Then
+    u = R_0 f - R_0 E D u_S on the whole lattice, which solves the equation
+    up to ``residual``, read by Parseval from one inverse FFT.  While
+    ``residual`` misses ``tol``, lgmres resumes from u_S with its stop
+    scaled down by the miss.  A solve costs two FFT pairs and one inverse
+    FFT on the lattice, one pair and one inverse FFT more per resumption,
+    and one FFT pair on the box per matvec; the box's kernel costs one more
+    inverse FFT on the lattice per z, shared by the solves at that z.
     """
     grid = f.grid
     rhs = free_resolvent(z, m, f)
     if V.is_zero():
-        return BsSolve(z, rhs, 0.0, 0, True)
+        return BsSolve(z, rhs, 0.0, 0, 0, True)
     vals = V.real_values().ravel()
     support = np.flatnonzero(vals)
     v = vals[support]
+    on_support = support_resolvent(z, m, grid, support)
 
     def spread(x: np.ndarray) -> Field:
         """E D x: D x on S, zero elsewhere."""
@@ -151,12 +159,14 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
         return Field(grid, out.reshape(grid.shape), PHYSICAL)
 
     def matvec(x):
-        return x + free_resolvent(z, m, spread(x)).values.ravel()[support]
+        nonlocal matvecs
+        matvecs += 1
+        return x + on_support(v * x)
 
     op = LinearOperator((len(support),) * 2, matvec=matvec,
                         dtype=np.complex128)
     rhs_norm = max(float(np.linalg.norm(rhs.values)), 1e-300)
-    iterations = 0
+    iterations = matvecs = 0
 
     def cb(_):
         nonlocal iterations
@@ -180,7 +190,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
         # the amplification moves with the residual's direction
         atol = 0.5 * tol / resid * float(np.linalg.norm(miss))
     converged = info == 0 and resid <= max(tol * 10, 1e-12)
-    return BsSolve(z, u, resid, iterations, converged)
+    return BsSolve(z, u, resid, iterations, matvecs, converged)
 
 
 def _half_multiply(half: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -530,13 +540,14 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
     converged cells up to ten times the smallest converged epsilon, and
     ``compared`` counts those cells (0 for an empty family, whose cells
     converge without solving anything).  ``diagnostics`` counts the
-    Birman-Schwinger work: the lgmres solves (none for V = 0), their
-    iterations, and the unknowns of each, |supp V|.
+    Birman-Schwinger work: the lgmres solves (none for V = 0), their outer
+    iterations and matvecs, the unknowns of each, |supp V|, and the FFT
+    shape of each matvec, ``support_box``'s (None for V = 0).
     """
     rows: list[SweepRow] = []
     denom = [(label, f, x_norm_upper(f, m)) for label, f in family]
-    unknowns = int(np.count_nonzero(V.real_values()))
-    iterations = 0
+    support = np.flatnonzero(V.real_values())
+    iterations = matvecs = 0
     for lam in lambdas:
         for eps in epsilons:
             z = lam + 1j * sign * eps
@@ -544,6 +555,7 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
             for label, f, xb in denom:
                 sol = bs_solve(z, m, V, f, tol=solver_tol)
                 iterations += sol.iterations
+                matvecs += sol.matvecs
                 worst_res = max(worst_res, sol.residual)
                 if not sol.converged:
                     ok = False
@@ -567,8 +579,11 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
         "compared": sum(r.ok and r.eps <= last for r in rows) if denom else 0,
         "holes": sum(1 for row in rows if not row.ok),
         "diagnostics": {
-            "bs_solves": len(rows) * len(denom) if unknowns else 0,
+            "bs_solves": len(rows) * len(denom) if len(support) else 0,
             "bs_iterations": iterations,
-            "bs_unknowns": unknowns,
+            "bs_matvecs": matvecs,
+            "bs_unknowns": len(support),
+            "bs_box": (list(support_box(V.grid, support)[0])
+                       if len(support) else None),
         },
     }

@@ -292,7 +292,8 @@ class TestSweepCommand:
         s = read_summary(out / "sweep.json")
         assert s["eigen_prescan"] == {"support_nodes": 0, "weyl_shift": 0.0}
         assert s["diagnostics"] == {"bs_solves": 0, "bs_iterations": 0,
-                                    "bs_unknowns": 0}
+                                    "bs_matvecs": 0, "bs_unknowns": 0,
+                                    "bs_box": None}
 
     def test_work_counts_repeat(self, tmp_path):
         args = ["sweep", "--set", "potential.kind=\"well\"",
@@ -308,6 +309,12 @@ class TestSweepCommand:
         assert diag["bs_solves"] == len(rows) == 2
         assert diag["bs_unknowns"] == s1["eigen_prescan"]["support_nodes"]
         assert diag["bs_iterations"] >= diag["bs_solves"]
+        # lgmres runs several matvecs per outer cycle, each an FFT pair on
+        # the well's bounding box, padded, which is smaller than the lattice
+        assert diag["bs_matvecs"] > diag["bs_iterations"]
+        n = s1["config"]["grid"]["points_per_axis"]
+        assert len(diag["bs_box"]) == s1["config"]["grid"]["dimension"]
+        assert all(0 < b < n for b in diag["bs_box"])
 
 
 class TestNorms:
@@ -528,7 +535,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.10.0", "family/1"]
+                                   "laplab/0.11.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from laplab import perturb
 from laplab.lattice import Field, GridSpec, PHYSICAL
-from laplab.multiplier import free_resolvent, pm_values
+from laplab.multiplier import free_resolvent, pm_values, support_box
 from laplab.perturb import (
     EigenvalueCounter,
     Potential,
@@ -242,6 +242,95 @@ class TestBsSolve:
         # at z = -30, R_0 f on the well is 1e-13 of its norm, below the stop
         # threshold tol * ||R_0 f||: lgmres's first residual check ends it
         assert sol.iterations == 1
+
+
+def block_potential(grid, start, extent) -> Potential:
+    """Seeded values in [-2, -0.5] on the block of ``extent`` nodes from
+    node ``start`` along each axis."""
+    vals = np.zeros(grid.shape)
+    block = tuple(slice(s, s + e) for s, e in zip(start, extent))
+    vals[block] = np.random.default_rng(3).uniform(-2.0, -0.5, extent)
+    return Potential(Field(grid, vals.astype(complex), PHYSICAL))
+
+
+def corner_well(grid) -> Potential:
+    """The radius-1 well moved to the box corner: its support touches both
+    periodic edges of every axis."""
+    V = well_potential(grid, depth=-1.0)
+    axes = tuple(range(grid.dimension))
+    return Potential(V.field.with_values(
+        np.roll(V.field.values, grid.points_per_axis // 2, axis=axes)))
+
+
+G2_SMALL = GridSpec(2, 4.0, 32)
+G3_WELL = GridSpec(3, 6.0, 32)
+
+# (grid, potential, m, z, the box support_box gives)
+BOX_CASES = {
+    # 9 nodes across: 2 * 9 - 1 = 17, padded to 18
+    "d2-well": (G2_SMALL, well_potential(G2_SMALL, -1.0, 1.0), 1,
+                1.0 + 0.1j, (18, 18)),
+    "corner-well": (G2_SMALL, corner_well(G2_SMALL), 1, 1.0 + 0.1j,
+                    (32, 32)),
+    # odd boxes, 13 -> 15 and 2 * 3 - 1 = 5 exactly
+    "odd-extents": (G2_SMALL, block_potential(G2_SMALL, (4, 20), (7, 3)), 1,
+                    0.5 + 0.2j, (15, 5)),
+    # 5 nodes across: 2 * 5 - 1 = 9 exactly, criterion 08's box
+    "d3-well": (G3_WELL, well_potential(G3_WELL, -1.0, 1.0), 1, 1.0 + 0.01j,
+                (9, 9, 9)),
+    "m2": (G2_SMALL, well_potential(G2_SMALL, -1.0, 1.0), 2, 0.75 + 0.05j,
+           (18, 18)),
+    "negative-re-z": (G2_SMALL, block_potential(G2_SMALL, (10, 11), (5, 8)),
+                      1, -0.7 + 0.05j, (9, 15)),
+}
+
+
+def recorded_operator(monkeypatch, z, m, V, f):
+    """The LinearOperator that bs_solve hands lgmres, and its result."""
+    ops, lgmres = [], perturb.lgmres
+
+    def recording(A, b, **kwargs):
+        ops.append(A)
+        return lgmres(A, b, **kwargs)
+
+    monkeypatch.setattr(perturb, "lgmres", recording)
+    sol = bs_solve(z, m, V, f)
+    return ops[0], sol
+
+
+class TestBoxConvolution:
+    @pytest.mark.parametrize("case", BOX_CASES.values(), ids=BOX_CASES.keys())
+    def test_matvec_is_the_lattice_product(self, case, monkeypatch):
+        grid, V, m, z, box = case
+        vals = V.real_values().ravel()
+        support = np.flatnonzero(vals)
+        f = gaussian_field(grid, 1.0)
+        op, sol = recorded_operator(monkeypatch, z, m, V, f)
+        assert sol.converged
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            x = (rng.standard_normal(len(support))
+                 + 1j * rng.standard_normal(len(support)))
+            spread = np.zeros(vals.size, dtype=complex)
+            spread[support] = vals[support] * x
+            full = free_resolvent(z, m, Field(grid, spread.reshape(grid.shape),
+                                              PHYSICAL)).values.ravel()
+            want = x + full[support]
+            got = op.matvec(x)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert support_box(grid, support)[0] == box
+
+    def test_edge_wrapping_support_converges(self):
+        grid = GridSpec(2, 6.8, 128)
+        V = corner_well(grid)
+        # f centred on the corner node, where V is
+        f = gaussian_field(grid, 1.0, center=(-6.8, -6.8))
+        assert support_box(grid, np.flatnonzero(V.real_values()))[0] \
+            == grid.shape
+        sol = bs_solve(1.0 + 0.05j, 1, V, f, tol=1e-10)
+        assert sol.converged and sol.residual <= 1e-10
+        assert sol.matvecs >= sol.iterations >= 1
+        assert pde_residual(sol, 1, V, f) < 1e-8
 
 
 class TestHamiltonian:
