@@ -4,9 +4,11 @@ Bessel potentials (1 + |xi|^2)^{alpha/2}, smooth shell cutoffs around
 
 Every multiplier is an array on the frequency lattice in FFT order (zero
 frequency first, as ``GridSpec.freq_grids``); the ones that are reused are
-cached and read-only, and every multiply of a field goes through
-``apply_values``.  ``support_resolvent`` applies the free resolvent among a
-set of lattice nodes alone, as a convolution on their bounding box.
+cached and read-only.  A field's spectrum is ``to_spectrum``'s inverse FFT of
+its values, in the same order, and ``to_field`` maps a spectrum back;
+``apply_values`` is the one multiply of a field, their composition around
+the product.  ``support_resolvent`` applies the free resolvent among a set
+of lattice nodes alone, as a convolution on their bounding box.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from .lattice import Field, GridSpec, PHYSICAL
 
 __all__ = [
     "CutoffSpec",
+    "to_spectrum",
+    "to_field",
+    "spectrum_norm",
     "apply_values",
     "apply_symbol",
+    "resolvent_values",
     "free_resolvent",
     "free_resolvent_norm",
     "support_box",
@@ -109,30 +115,49 @@ def chi_values(grid: GridSpec, spec: CutoffSpec) -> np.ndarray:
     return spec.profile(pm_values(grid, spec.m))
 
 
-def apply_values(values: np.ndarray, f: Field) -> Field:
-    """The one Fourier-multiply path, on a physical field.
-
-    ``values`` is in FFT order.  The transform's shifts and scale factors
-    (n^d h^d (2L)^{-d} = 1) cancel, so the product is one FFT pair.
-    """
+def to_spectrum(f: Field) -> np.ndarray:
+    """The spectrum of a physical field: ifftn of its values, in FFT order,
+    a new array.  The transform's shifts and scale factors
+    (n^d h^d (2L)^{-d} = 1) cancel against ``to_field``'s."""
     if f.domain_tag != PHYSICAL:
-        raise ValueError("apply_values expects a physical field")
-    u = np.fft.ifftn(f.values)
+        raise ValueError("to_spectrum expects a physical field")
+    return np.fft.ifftn(f.values)
+
+
+def to_field(grid: GridSpec, spectrum: np.ndarray) -> Field:
+    """The physical field whose spectrum is ``spectrum``: fftn in place, so
+    the field's values share (and overwrite) ``spectrum``."""
+    return Field(grid, np.fft.fftn(spectrum, out=spectrum), PHYSICAL)
+
+
+def spectrum_norm(spectrum: np.ndarray) -> float:
+    """The plain l2 norm of ``to_field``'s values, by Parseval without a
+    transform: numpy's fftn scales norms by sqrt(n^d)."""
+    return math.sqrt(spectrum.size) * float(np.linalg.norm(spectrum))
+
+
+def apply_values(values: np.ndarray, f: Field) -> Field:
+    """The one Fourier-multiply path, on a physical field: one FFT pair,
+    ``values`` (FFT order) multiplied in place between them."""
+    u = to_spectrum(f)
     u *= values
-    return f.with_values(np.fft.fftn(u, out=u))
+    return to_field(f.grid, u)
 
 
 def apply_symbol(values: np.ndarray, f: Field) -> Field:
-    """``apply_values`` for the Bessel multiplies of the norms; its own
-    function so that a profiler can time them apart from every other
-    multiply."""
+    """``apply_values`` under its own name, for a Bessel multiply that a
+    profiler times apart from every other multiply.  The norms multiply
+    spectra (``spaces.xstar_norm_from_spectrum``) and do not call it."""
     return apply_values(values, f)
 
 
 # a solve's right-hand side, box kernel, reconstruction and residual share z,
 # and so do the solves of one sweep cell
 @functools.lru_cache(maxsize=1)
-def _resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
+def resolvent_values(grid: GridSpec, m: int, z: complex) -> np.ndarray:
+    """The free resolvent's symbol (|xi|^{2m} - z)^{-1} on the lattice, in
+    FFT order; refuses z on [0, infinity) or within machine-noise distance
+    of the lattice symbol values."""
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(
             f"z = {z} lies on [0, inf); use the boundary-value machinery instead"
@@ -152,15 +177,15 @@ def free_resolvent(z: complex, m: int, f: Field) -> Field:
     Refuses z on the half-axis or within machine-noise distance of the lattice
     symbol values; boundary values on (0, infinity) live in the boundary module.
     """
-    return apply_values(_resolvent_values(f.grid, m, complex(z)), f)
+    return apply_values(resolvent_values(f.grid, m, complex(z)), f)
 
 
 def free_resolvent_norm(z: complex, m: int, f: Field) -> float:
-    """The plain l2 norm of the values of ``free_resolvent(z, m, f)``, by
-    Parseval from one inverse FFT: numpy's fftn scales norms by sqrt(n^d)."""
-    r = np.fft.ifftn(f.values)
-    r *= _resolvent_values(f.grid, m, complex(z))
-    return math.sqrt(r.size) * float(np.linalg.norm(r))
+    """The plain l2 norm of the values of ``free_resolvent(z, m, f)``, from
+    one inverse FFT."""
+    r = to_spectrum(f)
+    r *= resolvent_values(f.grid, m, complex(z))
+    return spectrum_norm(r)
 
 
 def _smooth_length(k: int) -> int:
@@ -181,16 +206,18 @@ def support_box(grid: GridSpec,
     nodes ``nodes`` (flat indices), and their flat indices in it.
 
     Along an axis on which the nodes span b entries of the lattice, the box
-    has N = min(n, 2-3-5-smooth length >= 2b - 1) entries.  With N >= 2b - 1
-    every offset between two nodes is a distinct residue mod N, so a
-    circular convolution on N entries is exact among the nodes; N = n is the
-    lattice's own periodic product.  Nodes that touch both ends of an axis
-    span all n entries of it.
+    has N = min(n, 2-3-5-smooth length >= max(1, 2b - 2)) entries.  The
+    offsets between two nodes lie in [-(b - 1), b - 1], and with
+    N >= 2b - 2 only the two ends share a residue mod N; the Green's
+    function is even along each axis, so they read the same value and a
+    circular convolution on N entries is exact among the nodes.  N = n is
+    the lattice's own periodic product; nodes that touch both ends of an
+    axis span all n entries of it.
     """
     n = grid.points_per_axis
     coords = np.unravel_index(nodes, grid.shape)
     low = [int(c.min()) for c in coords]
-    box = tuple(min(n, _smooth_length(2 * (int(c.max()) - lo) + 1))
+    box = tuple(min(n, _smooth_length(max(1, 2 * (int(c.max()) - lo))))
                 for c, lo in zip(coords, low))
     return box, np.ravel_multi_index(
         tuple(c - lo for c, lo in zip(coords, low)), box)
@@ -205,7 +232,7 @@ def _box_resolvent_values(grid: GridSpec, m: int, z: complex,
     g_z = ifftn(r).  Along an axis of N box entries, offsets o <= N // 2
     read g_z at o and the others at o - N, that is o - N + n."""
     n = grid.points_per_axis
-    green = np.fft.ifftn(_resolvent_values(grid, m, z))
+    green = np.fft.ifftn(resolvent_values(grid, m, z))
     folds = []
     for N in box:
         o = np.arange(N)
@@ -213,11 +240,12 @@ def _box_resolvent_values(grid: GridSpec, m: int, z: complex,
     return _cached(np.fft.fftn(green[np.ix_(*folds)]))
 
 
-def support_resolvent(z: complex, m: int, grid: GridSpec, nodes: np.ndarray):
-    """E^T R_0(z) E, E the injection of the lattice nodes ``nodes`` (flat
-    indices): a function that maps values x on the nodes to the values of
-    R_0(z) E x on them, by one FFT pair on ``support_box``'s shape."""
-    box, flat = support_box(grid, nodes)
+def support_resolvent(z: complex, m: int, grid: GridSpec,
+                      box: tuple[int, ...], flat: np.ndarray):
+    """E^T R_0(z) E, E the injection of a set of lattice nodes: a function
+    that maps values x on the nodes to the values of R_0(z) E x on them, by
+    one FFT pair on ``box``.  ``box`` and ``flat`` are ``support_box``'s
+    shape and the nodes' flat indices in it."""
     kernel = _box_resolvent_values(grid, m, complex(z), box)
 
     def apply(x: np.ndarray) -> np.ndarray:

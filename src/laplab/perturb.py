@@ -5,6 +5,7 @@ sweeps for H = (-Delta)^m + V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -15,9 +16,10 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import (free_resolvent, free_resolvent_norm, pm_values,
-                         support_box, support_resolvent)
-from .spaces import x_norm_upper, xstar_norm
+from .multiplier import (free_resolvent_norm, pm_values, resolvent_values,
+                         spectrum_norm, support_box, support_resolvent,
+                         to_field, to_spectrum)
+from .spaces import x_norm_upper, xstar_norm_from_spectrum
 
 __all__ = [
     "Potential",
@@ -57,7 +59,19 @@ class Potential:
         return self.field.values.real
 
     def is_zero(self) -> bool:
-        return not np.any(self.real_values())
+        return not len(self.support)
+
+    # derived once: the values do not change after construction
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """Ascending flat indices of the nodes where V is nonzero."""
+        return np.flatnonzero(self.real_values())
+
+    @functools.cached_property
+    def box(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``support_box`` of ``support``: the FFT shape of the
+        Birman-Schwinger matvec and the support's flat indices in it."""
+        return support_box(self.grid, self.support)
 
 
 #: largest relative rounding error of a staircase shell's grid measure
@@ -109,7 +123,9 @@ def example_potential(q: float, J: int, grid: GridSpec) -> Potential:
 @dataclass(frozen=True)
 class BsSolve:
     z: complex
-    u: Field
+    grid: GridSpec
+    # u's spectrum, in to_spectrum's FFT order and scaling; made read-only
+    spectrum: np.ndarray
     # ||(Id + R_0 V) u - R_0 f|| / ||R_0 f|| of the returned u on the whole
     # lattice, which is ||R_0 E D (u[S] - u_S)|| / ||R_0 f||
     residual: float
@@ -118,6 +134,14 @@ class BsSolve:
     iterations: int
     matvecs: int
     converged: bool
+
+    def __post_init__(self):
+        self.spectrum.setflags(write=False)
+
+    @functools.cached_property
+    def u(self) -> Field:
+        """The solution on the lattice: one FFT, the first time it is read."""
+        return to_field(self.grid, self.spectrum.copy())
 
 
 #: lgmres outer iterations allowed to one Birman-Schwinger solve
@@ -132,31 +156,38 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
     support system u_S + E^T R_0 E D u_S = E^T R_0 f, with D = diag(V) on S
     and E the injection of S into the lattice: each matvec applies
     E^T R_0(z) E to D x as a convolution on S's bounding box
-    (``support_resolvent``).  It starts from the Born term E^T R_0 f and
+    (``support_resolvent``).  It starts from the Born term b = E^T R_0 f and
     stops once the support residual is at most ``tol * ||R_0 f||``, a
     threshold that does not shrink when f lives away from V.  Then
     u = R_0 f - R_0 E D u_S on the whole lattice, which solves the equation
-    up to ``residual``, read by Parseval from one inverse FFT.  While
+    up to ``residual`` = ||R_0 E D (u[S] - u_S)|| / ||R_0 f||, where
+    u[S] = b - E^T R_0 E D u_S is one more product on the box.  While
     ``residual`` misses ``tol``, lgmres resumes from u_S with its stop
-    scaled down by the miss.  A solve costs two FFT pairs and one inverse
-    FFT on the lattice, one pair and one inverse FFT more per resumption,
-    and one FFT pair on the box per matvec; the box's kernel costs one more
-    inverse FFT on the lattice per z, shared by the solves at that z.
+    scaled down by the miss.
+
+    u stays in Fourier space: the result carries its spectrum
+    r (f^ - (E D u_S)^), r the resolvent symbol and ^ ``to_spectrum``, and
+    ``BsSolve.u`` transforms it on demand.  A solve costs four FFTs on the
+    lattice (f^, R_0 f for b, the residual's Parseval norm and (E D u_S)^),
+    one more per resumption, and one FFT pair on the box per matvec and per
+    residual; the box's kernel costs one more inverse FFT on the lattice per
+    z, shared by the solves at that z.
     """
     grid = f.grid
-    rhs = free_resolvent(z, m, f)
+    r = resolvent_values(grid, m, complex(z))
+    f_hat = to_spectrum(f)
+    rhs = r * f_hat     # the spectrum of R_0 f
     if V.is_zero():
-        return BsSolve(z, rhs, 0.0, 0, 0, True)
-    vals = V.real_values().ravel()
-    support = np.flatnonzero(vals)
-    v = vals[support]
-    on_support = support_resolvent(z, m, grid, support)
+        return BsSolve(z, grid, rhs, 0.0, 0, 0, True)
+    support = V.support
+    v = V.real_values().ravel()[support]
+    on_support = support_resolvent(z, m, grid, *V.box)
 
     def spread(x: np.ndarray) -> Field:
         """E D x: D x on S, zero elsewhere."""
-        out = np.zeros(vals.size, dtype=np.complex128)
-        out[support] = v * x
-        return Field(grid, out.reshape(grid.shape), PHYSICAL)
+        out = np.zeros(grid.shape, dtype=np.complex128)
+        out.ravel()[support] = v * x      # out is contiguous: ravel is a view
+        return Field(grid, out, PHYSICAL)
 
     def matvec(x):
         nonlocal matvecs
@@ -165,7 +196,7 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
 
     op = LinearOperator((len(support),) * 2, matvec=matvec,
                         dtype=np.complex128)
-    rhs_norm = max(float(np.linalg.norm(rhs.values)), 1e-300)
+    rhs_norm = max(spectrum_norm(rhs), 1e-300)
     iterations = matvecs = 0
 
     def cb(_):
@@ -174,14 +205,12 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
 
     # lgmres's first residual check costs a matvec: from the Born term b
     # instead of zero it is a useful one
-    b = rhs.values.ravel()[support]
+    b = to_field(grid, rhs).values.ravel()[support]     # rhs is spent
     u_s, atol = b.copy(), tol * rhs_norm
     while True:
         u_s, info = lgmres(op, b, x0=u_s, rtol=0.0, atol=atol,
                            maxiter=BS_MAXITER, callback=cb)
-        u = rhs.with_values(
-            rhs.values - free_resolvent(z, m, spread(u_s)).values)
-        miss = u.values.ravel()[support] - u_s    # minus the support residual
+        miss = b - on_support(v * u_s) - u_s    # u[S] - u_S
         resid = free_resolvent_norm(z, m, spread(miss)) / rhs_norm
         if info != 0 or resid <= tol or iterations >= BS_MAXITER:
             break
@@ -189,8 +218,11 @@ def bs_solve(z: complex, m: int, V: Potential, f: Field,
         # times (a strong or near-resonant V): resume, aiming at tol / 2, as
         # the amplification moves with the residual's direction
         atol = 0.5 * tol / resid * float(np.linalg.norm(miss))
+    u_hat = to_spectrum(spread(u_s))
+    np.subtract(f_hat, u_hat, out=u_hat)
+    u_hat *= r
     converged = info == 0 and resid <= max(tol * 10, 1e-12)
-    return BsSolve(z, u, resid, iterations, matvecs, converged)
+    return BsSolve(z, grid, u_hat, resid, iterations, matvecs, converged)
 
 
 def _half_multiply(half: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -546,7 +578,6 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
     """
     rows: list[SweepRow] = []
     denom = [(label, f, x_norm_upper(f, m)) for label, f in family]
-    support = np.flatnonzero(V.real_values())
     iterations = matvecs = 0
     for lam in lambdas:
         for eps in epsilons:
@@ -560,7 +591,8 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
                 if not sol.converged:
                     ok = False
                     continue
-                ratio = xstar_norm(sol.u, m) / xb
+                ratio = xstar_norm_from_spectrum(sol.spectrum, sol.grid,
+                                                 m) / xb
                 if ratio > best:
                     best, best_label = ratio, label
             rows.append(SweepRow(lam, eps, best, best_label, worst_res, ok))
@@ -579,11 +611,10 @@ def lap_perturbed_sweep(V: Potential, m: int, lambdas: Sequence[float],
         "compared": sum(r.ok and r.eps <= last for r in rows) if denom else 0,
         "holes": sum(1 for row in rows if not row.ok),
         "diagnostics": {
-            "bs_solves": len(rows) * len(denom) if len(support) else 0,
+            "bs_solves": 0 if V.is_zero() else len(rows) * len(denom),
             "bs_iterations": iterations,
             "bs_matvecs": matvecs,
-            "bs_unknowns": len(support),
-            "bs_box": (list(support_box(V.grid, support)[0])
-                       if len(support) else None),
+            "bs_unknowns": len(V.support),
+            "bs_box": None if V.is_zero() else list(V.box[0]),
         },
     }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import apply_symbol, apply_values, bessel_values, pm_values
+from .multiplier import bessel_values, pm_values, to_field, to_spectrum
 
 __all__ = [
     "LorentzExponents",
@@ -27,6 +27,7 @@ __all__ = [
     "b_norm",
     "bstar_norm",
     "xstar_norm",
+    "xstar_norm_from_spectrum",
     "x_norm_upper",
     "slab_l2_profile",
     "stein_tomas_exponent",
@@ -111,6 +112,18 @@ def _require_physical(f: Field):
         raise ValueError("norm evaluators expect physical fields")
 
 
+@functools.lru_cache(maxsize=2)  # one entry is 8 MB at d = 4, n = 32
+def _plateau_weights(h: float, nodes: int, p: float, q: float) -> np.ndarray:
+    """The integrals of t^{q/p - 1} dt over the plateaus [(k - 1) h, k h],
+    k = 1..nodes: (p/q)(t_hi^{q/p} - t_lo^{q/p}).  The first k of them do
+    not depend on ``nodes``."""
+    t_hi = h * np.arange(1, nodes + 1)
+    t_lo = t_hi - h
+    weights = (p / q) * (t_hi ** (q / p) - t_lo ** (q / p))
+    weights.setflags(write=False)
+    return weights
+
+
 def lorentz_norm(f: Field, exps: LorentzExponents) -> float:
     """Lorentz norm from the decreasing rearrangement of |f| with h^d cells.
 
@@ -124,13 +137,10 @@ def lorentz_norm(f: Field, exps: LorentzExponents) -> float:
     if a.size == 0:
         return 0.0
     h = f.grid.cell_volume
-    t_hi = h * np.arange(1, a.size + 1)
     p, q = exps.p, exps.q
     if q == INF:
-        return float(np.max(a * t_hi ** (1.0 / p)))
-    t_lo = t_hi - h
-    # integral of t^{q/p - 1} over each plateau is (p/q)(t_hi^{q/p} - t_lo^{q/p})
-    incr = (p / q) * (t_hi ** (q / p) - t_lo ** (q / p))
+        return float(np.max(a * (h * np.arange(1, a.size + 1)) ** (1.0 / p)))
+    incr = _plateau_weights(h, f.values.size, p, q)[:a.size]
     return float(np.sum(a**q * incr) ** (1.0 / q))
 
 
@@ -162,23 +172,22 @@ def xstar_norm(u: Field, m: int) -> float:
     normalization; it changes constants only.
     """
     _require_physical(u)
-    d = u.grid.dimension
+    return xstar_norm_from_spectrum(to_spectrum(u), u.grid, m)
+
+
+def xstar_norm_from_spectrum(spectrum: np.ndarray, grid: GridSpec,
+                             m: int) -> float:
+    """``xstar_norm`` of the field whose spectrum (``to_spectrum``'s) is
+    ``spectrum``: one FFT per part, ``spectrum`` left as it is."""
+    d = grid.dimension
     _, pdp = stein_tomas_exponent(d)
-    lor = lorentz_norm(
-        apply_symbol(bessel_values(u.grid, smoothing_order(m, d)), u),
-        LorentzExponents(pdp, 2.0))
-    bst = bstar_norm(apply_symbol(bessel_values(u.grid, float(m)), u))
+    # one buffer for both parts: the Lorentz part is done with it before
+    # the B* part overwrites it
+    part = bessel_values(grid, smoothing_order(m, d)) * spectrum
+    lor = lorentz_norm(to_field(grid, part), LorentzExponents(pdp, 2.0))
+    np.multiply(bessel_values(grid, float(m)), spectrum, out=part)
+    bst = bstar_norm(to_field(grid, part))
     return max(lor, bst)
-
-
-def _lorentz_part(f1: Field, theta: float) -> float:
-    pd, _ = stein_tomas_exponent(f1.grid.dimension)
-    return lorentz_norm(apply_symbol(bessel_values(f1.grid, -theta), f1),
-                        LorentzExponents(pd, 2.0))
-
-
-def _b_part(f2: Field, m: int) -> float:
-    return b_norm(apply_symbol(bessel_values(f2.grid, -float(m)), f2))
 
 
 def x_norm_upper(f: Field, m: int) -> float:
@@ -186,20 +195,32 @@ def x_norm_upper(f: Field, m: int) -> float:
 
     Minimizes over the two trivial splittings and a one-parameter family of
     smooth frequency splittings concentrated near the sphere |xi|^{2m} =
-    SPLIT_LAMBDA.  Always an upper bound for the true infimum.
+    SPLIT_LAMBDA.  Always an upper bound for the true infimum.  The splits
+    act on f's spectrum, taken once, so each norm term costs one FFT.
     """
     _require_physical(f)
-    theta = smoothing_order(m, f.grid.dimension)
-    # the trivial splittings (f, 0) and (0, f)
-    best = min(_lorentz_part(f, theta), _b_part(f, m))
+    grid = f.grid
+    d = grid.dimension
+    pd, _ = stein_tomas_exponent(d)
+    lorentz_symbol = bessel_values(grid, -smoothing_order(m, d))
+    b_symbol = bessel_values(grid, -float(m))
+    spectrum = to_spectrum(f)
 
-    pm = pm_values(f.grid, m)
+    def lorentz_part(f1: np.ndarray) -> float:
+        return lorentz_norm(to_field(grid, lorentz_symbol * f1),
+                            LorentzExponents(pd, 2.0))
+
+    def b_part(f2: np.ndarray) -> float:
+        return b_norm(to_field(grid, b_symbol * f2))
+
+    # the trivial splittings (f, 0) and (0, f)
+    best = min(lorentz_part(spectrum), b_part(spectrum))
+
+    pm = pm_values(grid, m)
     lam = SPLIT_LAMBDA
     for w in SPLIT_WIDTHS:
-        bump = np.exp(-((pm - lam) / (w * lam)) ** 2)
-        f2 = apply_values(bump, f)
-        f1 = f.with_values(f.values - f2.values)
-        best = min(best, _lorentz_part(f1, theta) + _b_part(f2, m))
+        f2 = spectrum * np.exp(-((pm - lam) / (w * lam)) ** 2)
+        best = min(best, lorentz_part(spectrum - f2) + b_part(f2))
     return best
 
 

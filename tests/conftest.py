@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -84,3 +86,18 @@ def unit_sphere_rule(d: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
         wts = np.repeat(wc, n_az) * (2.0 * np.pi / n_az)
         return dirs, wts
     raise ValueError(f"sphere quadrature implemented for d in {{2, 3}}, got {d}")
+
+
+def count_lattice_ffts(monkeypatch, shape) -> collections.Counter:
+    """Counts numpy's fftn and ifftn calls on arrays of ``shape`` from now
+    on, by name; transforms of other shapes (a Birman-Schwinger box) are
+    not counted."""
+    calls = collections.Counter()
+    for name in ("fftn", "ifftn"):
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name),
+                    **kwargs):
+            if np.shape(a) == tuple(shape):
+                calls[_name] += 1
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from laplab import perturb
+from laplab import multiplier, perturb
 from laplab.lattice import Field, GridSpec, PHYSICAL
 from laplab.multiplier import free_resolvent, pm_values, support_box
 from laplab.perturb import (
@@ -27,7 +27,8 @@ from laplab.spaces import (LorentzExponents, lorentz_norm, xstar_norm,
                            x_norm_upper)
 from laplab.family import FamilySpec, standard_family
 
-from conftest import PROPERTY, apply_hamiltonian, gaussian_field
+from conftest import (PROPERTY, apply_hamiltonian, count_lattice_ffts,
+                      gaussian_field)
 
 
 def well_potential(grid, depth=-10.0, radius=1.0) -> Potential:
@@ -209,13 +210,7 @@ class TestBsSolve:
         assert abs(sol.residual - explicit) <= 1e-15
 
     def test_krylov_space_is_the_support(self, g2, gauss2, monkeypatch):
-        shapes, lgmres = [], perturb.lgmres
-
-        def recording(A, b, **kwargs):
-            shapes.append(A.shape)
-            return lgmres(A, b, **kwargs)
-
-        monkeypatch.setattr(perturb, "lgmres", recording)
+        ops = recorded_lgmres(monkeypatch)
         well = well_potential(g2, depth=-1.0)
         gauss = Potential(gauss2.with_values(-0.5 * gauss2.values))
         for V in (well, gauss):
@@ -223,7 +218,8 @@ class TestBsSolve:
         nodes = np.count_nonzero(well.real_values())
         assert 0 < nodes < g2.points_per_axis ** 2
         assert np.all(gauss.real_values())
-        assert shapes == [(nodes, nodes), (g2.points_per_axis ** 2,) * 2]
+        assert [A.shape for A in ops] == [(nodes, nodes),
+                                          (g2.points_per_axis ** 2,) * 2]
 
     def test_strong_well_meets_tol(self, g2, gauss2):
         # the stop is on the support residual, which R_0 E D amplifies about
@@ -267,26 +263,31 @@ G3_WELL = GridSpec(3, 6.0, 32)
 
 # (grid, potential, m, z, the box support_box gives)
 BOX_CASES = {
-    # 9 nodes across: 2 * 9 - 1 = 17, padded to 18
+    # 9 nodes across: 2 * 9 - 2 = 16 exactly
     "d2-well": (G2_SMALL, well_potential(G2_SMALL, -1.0, 1.0), 1,
-                1.0 + 0.1j, (18, 18)),
+                1.0 + 0.1j, (16, 16)),
     "corner-well": (G2_SMALL, corner_well(G2_SMALL), 1, 1.0 + 0.1j,
                     (32, 32)),
-    # odd boxes, 13 -> 15 and 2 * 3 - 1 = 5 exactly
+    # 2 * 7 - 2 = 12 and 2 * 3 - 2 = 4 exactly
     "odd-extents": (G2_SMALL, block_potential(G2_SMALL, (4, 20), (7, 3)), 1,
-                    0.5 + 0.2j, (15, 5)),
-    # 5 nodes across: 2 * 5 - 1 = 9 exactly, criterion 08's box
+                    0.5 + 0.2j, (12, 4)),
+    # one node across: N = 1
+    "one-node-wide": (G2_SMALL, block_potential(G2_SMALL, (6, 9), (1, 6)), 1,
+                      1.0 + 0.1j, (1, 10)),
+    # 5 nodes across: 2 * 5 - 2 = 8 exactly, criterion 08's box
     "d3-well": (G3_WELL, well_potential(G3_WELL, -1.0, 1.0), 1, 1.0 + 0.01j,
-                (9, 9, 9)),
+                (8, 8, 8)),
     "m2": (G2_SMALL, well_potential(G2_SMALL, -1.0, 1.0), 2, 0.75 + 0.05j,
-           (18, 18)),
+           (16, 16)),
+    # 2 * 5 - 2 = 8 exactly and 2 * 8 - 2 = 14, padded to 15
     "negative-re-z": (G2_SMALL, block_potential(G2_SMALL, (10, 11), (5, 8)),
-                      1, -0.7 + 0.05j, (9, 15)),
+                      1, -0.7 + 0.05j, (8, 15)),
 }
 
 
-def recorded_operator(monkeypatch, z, m, V, f):
-    """The LinearOperator that bs_solve hands lgmres, and its result."""
+def recorded_lgmres(monkeypatch) -> list:
+    """The LinearOperator of each lgmres call of bs_solve from now on: its
+    first one and every resumption."""
     ops, lgmres = [], perturb.lgmres
 
     def recording(A, b, **kwargs):
@@ -294,6 +295,12 @@ def recorded_operator(monkeypatch, z, m, V, f):
         return lgmres(A, b, **kwargs)
 
     monkeypatch.setattr(perturb, "lgmres", recording)
+    return ops
+
+
+def recorded_operator(monkeypatch, z, m, V, f):
+    """The LinearOperator that bs_solve hands lgmres, and its result."""
+    ops = recorded_lgmres(monkeypatch)
     sol = bs_solve(z, m, V, f)
     return ops[0], sol
 
@@ -331,6 +338,62 @@ class TestBoxConvolution:
         assert sol.converged and sol.residual <= 1e-10
         assert sol.matvecs >= sol.iterations >= 1
         assert pde_residual(sol, 1, V, f) < 1e-8
+
+
+class TestFftWork:
+    """The lattice FFTs of a solve and of the sweep, counted through
+    numpy.fft; the box's kernel is built by a first solve at the same z."""
+
+    def test_solve_takes_four(self, monkeypatch):
+        V = well_potential(G2_SMALL, -1.0)
+        z = 1.0 + 0.1j
+        bs_solve(z, 1, V, gaussian_field(G2_SMALL, 1.0))
+        lgmres = recorded_lgmres(monkeypatch)
+        ffts = count_lattice_ffts(monkeypatch, G2_SMALL.shape)
+        f = gaussian_field(G2_SMALL, 0.7, center=(0.5, 0.0))
+        sol = bs_solve(z, 1, V, f)
+        assert sol.converged and len(lgmres) == 1
+        assert ffts == {"ifftn": 3, "fftn": 1}
+        # u is one FFT of the spectrum, run once
+        assert sol.u is sol.u
+        assert ffts == {"ifftn": 3, "fftn": 2}
+        assert np.array_equal(sol.u.values, np.fft.fftn(sol.spectrum))
+
+    def test_each_resumption_adds_one(self, g2, gauss2, monkeypatch):
+        # the -20 well of test_strong_well_meets_tol resumes
+        V = well_potential(g2, depth=-20.0)
+        z = 2.0 + 0.001j
+        bs_solve(z, 1, V, gaussian_field(g2, 0.5))
+        lgmres = recorded_lgmres(monkeypatch)
+        ffts = count_lattice_ffts(monkeypatch, g2.shape)
+        sol = bs_solve(z, 1, V, gauss2, tol=1e-10)
+        assert sol.converged and sol.residual <= 1e-10
+        assert len(lgmres) >= 2
+        assert sum(ffts.values()) == 4 + (len(lgmres) - 1)
+        assert pde_residual(sol, 1, V, gauss2) < 1e-8
+
+    def test_zero_potential_takes_one(self, monkeypatch):
+        ffts = count_lattice_ffts(monkeypatch, G2_SMALL.shape)
+        sol = bs_solve(1.0 + 0.1j, 1, zero_potential(G2_SMALL),
+                       gaussian_field(G2_SMALL, 1.0))
+        assert sol.iterations == 0 and ffts == {"ifftn": 1}
+
+    def test_sweep(self, monkeypatch):
+        # per cell the box's kernel and, per family member, a solve and the
+        # two parts of its proxy's norm; per family member x_norm_upper
+        V = well_potential(G2_SMALL, -0.05)
+        fam = standard_family(G2_SMALL, FamilySpec(count=2, seed=7))
+        lambdas, epsilons = [0.5, 1.0], [0.1, 0.05]
+        multiplier._box_resolvent_values.cache_clear()
+        lgmres = recorded_lgmres(monkeypatch)
+        ffts = count_lattice_ffts(monkeypatch, G2_SMALL.shape)
+        out = lap_perturbed_sweep(V, 1, lambdas, epsilons, fam)
+        cells = len(lambdas) * len(epsilons)
+        assert out["holes"] == 0
+        assert len(lgmres) == out["diagnostics"]["bs_solves"] \
+            == cells * len(fam)
+        assert sum(ffts.values()) \
+            == cells * (1 + len(fam) * (4 + 2)) + len(fam) * 9
 
 
 class TestHamiltonian:
@@ -663,6 +726,19 @@ class TestPerturbedSweep:
                 xstar_norm(free_resolvent(z, 1, f), 1) / x_norm_upper(f, 1)
                 for _, f in fam)
             assert row.proxy == pytest.approx(direct, rel=1e-8)
+
+    def test_proxy_is_the_norm_of_the_solution(self):
+        V = well_potential(G2_SMALL, -0.05)
+        fam = standard_family(G2_SMALL, FamilySpec(count=3, seed=7))
+        out = lap_perturbed_sweep(V, 1, [0.5, 1.0], [0.1, 0.05], fam)
+        assert out["holes"] == 0
+        for row in out["rows"]:
+            z = row.lam + 1j * row.eps
+            ratios = {label: xstar_norm(bs_solve(z, 1, V, f).u, 1)
+                      / x_norm_upper(f, 1) for label, f in fam}
+            best = max(ratios.values())
+            assert abs(row.proxy - best) <= 1e-14 * best
+            assert ratios[row.worst_label] == pytest.approx(best, rel=1e-14)
 
     def test_small_potential_is_a_small_perturbation(self, g2):
         fam = standard_family(g2, FamilySpec(count=2, seed=7))

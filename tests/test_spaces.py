@@ -6,12 +6,14 @@ from laplab.family import FamilySpec, shell_stress_family, standard_family
 from laplab.lattice import Field, GridSpec, PHYSICAL, forward_transform, \
     inverse_transform, sample
 from laplab.multiplier import apply_values, bessel_values
-from laplab.spaces import (DyadicShells, LorentzExponents, b_norm, bstar_norm,
-                           lorentz_norm, lp_norm, slab_l2_profile,
-                           smoothing_order, stein_tomas_exponent, x_norm_upper,
-                           xstar_norm)
+from laplab import spaces
+from laplab.spaces import (SPLIT_WIDTHS, DyadicShells, LorentzExponents,
+                           b_norm, bstar_norm, lorentz_norm, lp_norm,
+                           slab_l2_profile, smoothing_order,
+                           stein_tomas_exponent, x_norm_upper, xstar_norm,
+                           xstar_norm_from_spectrum)
 
-from conftest import PROPERTY, gaussian_field
+from conftest import PROPERTY, count_lattice_ffts, gaussian_field
 
 SQRT2 = np.sqrt(2.0)
 
@@ -45,6 +47,17 @@ class TestLorentz:
         got = lorentz_norm(f, LorentzExponents(p, q))
         assert got == pytest.approx((p / q) ** (1.0 / q) * a ** (1.0 / p),
                                     rel=1e-12)
+
+    def test_plateau_weights_do_not_depend_on_the_node_count(self):
+        # lorentz_norm caches the weights of every node and uses the first
+        # of them, one per nonzero value
+        h, p, q = 0.0113, 2.5, 2.0
+        head = spaces._plateau_weights(h, 40, p, q)
+        assert np.array_equal(spaces._plateau_weights(h, 100, p, q)[:40],
+                              head)
+        t = h * np.arange(41)
+        assert np.allclose(np.cumsum(head), (p / q) * t[1:] ** (q / p),
+                           rtol=1e-13, atol=0.0)
 
     def test_q_equals_p_matches_lp(self, g2, gauss2):
         for p in (1.2, 2.0, 4.0):
@@ -126,6 +139,21 @@ class TestComposite:
                            LorentzExponents(pdp, 2.0))
         bst = bstar_norm(apply_values(bessel_values(grid, 1.0), u))
         assert xstar_norm(u, 1) == pytest.approx(max(lor, bst), rel=1e-12)
+
+    def test_fft_work(self, g2, gauss2, monkeypatch):
+        ffts = count_lattice_ffts(monkeypatch, g2.shape)
+        want = xstar_norm(gauss2, 2)
+        assert ffts == {"ifftn": 1, "fftn": 2}
+        spectrum = np.fft.ifftn(gauss2.values)
+        spectrum.setflags(write=False)
+        ffts.clear()
+        assert xstar_norm_from_spectrum(spectrum, g2, 2) == want
+        assert ffts == {"fftn": 2}
+        ffts.clear()
+        x_norm_upper(gauss2, 2)
+        # f's spectrum once, then one FFT per norm term: two for the
+        # trivial splittings and two per smooth one
+        assert ffts == {"ifftn": 1, "fftn": 2 + 2 * len(SPLIT_WIDTHS)}
 
     def test_xstar_homogeneity(self, g2, gauss2):
         base = xstar_norm(gauss2, 2)
