@@ -19,9 +19,19 @@ normalization-free ground truth.
 The lattice transform is a trigonometric polynomial, so I is exactly the Debye
 sum h^{2d} sum_y C(y) sigmahat(rho |y|) of the correlation C = f (star) conj g,
 sigmahat the transform of the unit sphere's surface measure, and is tabulated
-as a Chebyshev series.  The table depends only on the grid, f and g, so the
-pairings take it from a memo keyed on the content of both fields and share it
-across lambda, sign, m and the two pairing backends.
+as a Chebyshev series, its coefficients the DCT of I at the Chebyshev points.
+The series sum_k c_k cos(k theta), t = cos theta, is evaluated baby-step /
+giant-step (Paterson and Stockmeyer): with k = j B + i and B about
+sqrt(degree), cos(k theta) = cos(j B theta) cos(i theta)
+- sin(j B theta) sin(i theta).  The baby steps exp(i i theta) and the giant
+steps exp(i j B theta) are running products of two complex exponentials per
+node, and the rest is two small matrix products against the coefficients laid
+out as a B x J matrix.  Each pairing quadrature evaluates I once, on the
+nodes of all its panels.  The table depends only on the grid, f and g,
+so the pairings take it from a memo keyed on the content of both fields and
+share it across lambda, sign, m and the two pairing backends.  A pairing
+needs the sphere |xi| = r inside the table's range [0, rho_max], rho_max
+``radial_cutoff`` of the grid, and refuses any other lambda.
 
 The epsilon-limit pairing integrates the same radial integrand with the
 resolved Lorentzian denominator and Richardson-extrapolates over a geometric
@@ -56,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
@@ -70,6 +79,7 @@ __all__ = [
     "DecayScan",
     "boundary_pairing",
     "epsilon_pairing",
+    "radial_cutoff",
     "richardson_limit",
     "boundary_apply",
     "graph_and_weight",
@@ -184,18 +194,48 @@ class BoundarySpec:
         return self.lam ** (1.0 / (2 * self.m))
 
 
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z^0, ..., z^{n-1} of every entry of z, as the rows of a matrix: running
+    products, whose error grows by about one rounding per power."""
+    out = np.empty((z.size, n), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def radial_cutoff(grid) -> float:
+    """rho_max, the end of the radial reduction's table: just inside the
+    largest frequency ball of the lattice.  A pairing at lambda needs
+    r = lambda^{1/(2m)} below it."""
+    return 0.999 * grid.max_inscribed_freq
+
+
 class _RadialReduction:
     """I(rho) as a Chebyshev series on [0, rho_max]; I has exponential type
-    max|y|, so degree 1.25 omega + 32, omega = rho_max max|y| / 2, is exact."""
+    max|y|, so degree 1.25 omega + 32, omega = rho_max max|y| / 2, is exact.
+    ``coef`` holds the K = degree + 1 coefficients zero-padded to B J and laid
+    out as a B x J matrix, coef[i, j] = c_{j B + i}, B = ceil(sqrt(K))."""
 
     def __init__(self, f: Field, g: Field):
         self.d = f.grid.dimension
-        self.rho_max = 0.999 * f.grid.max_inscribed_freq
+        self.rho_max = radial_cutoff(f.grid)
         self.radii, self.weights = _debye_terms(f, g)
-        degree = math.ceil(0.625 * self.rho_max * self.radii[-1]) + 32
-        self.cheb = chebinterpolate(
-            lambda t: self.debye_sum(0.5 * self.rho_max * (1.0 + t)), degree)
-        self.k = np.arange(degree + 1)
+        K = math.ceil(0.625 * self.rho_max * self.radii[-1]) + 33
+        # the DCT-II of I at the K Chebyshev points cos(theta_j) of the first
+        # kind, by the FFT of the values mirrored to length 2K; numpy's
+        # chebinterpolate builds its basis by the three-term recurrence, whose
+        # O(k^2) error growth costs about 1e-12 of max|I| at t = -1
+        theta = np.pi * (np.arange(K) + 0.5) / K
+        y = self.debye_sum(0.5 * self.rho_max * (1.0 + np.cos(theta)))
+        k = np.arange(K)
+        cheb = (np.exp(-0.5j * np.pi * k / K)
+                * np.fft.fft(np.concatenate([y, y[::-1]]))[:K]) / K
+        cheb[0] /= 2.0
+        B = math.isqrt(K - 1) + 1
+        J = -(-K // B)
+        coef = np.zeros(B * J, dtype=complex)
+        coef[:K] = cheb
+        self.coef = coef.reshape(J, B).T.copy()
 
     def debye_sum(self, rho: np.ndarray) -> np.ndarray:
         """I(rho) by the direct Debye sum, in blocks of about 2^20 terms."""
@@ -204,9 +244,21 @@ class _RadialReduction:
                                @ self.weights for b in blocks])
 
     def angular(self, rho: np.ndarray) -> np.ndarray:
+        """I(rho) from the table, baby-step / giant-step: two complex
+        exponentials per node, and cos(k theta), k = j B + i, as
+        cos(j B theta) cos(i theta) - sin(j B theta) sin(i theta)."""
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         t = np.clip(2.0 * rho / self.rho_max - 1.0, -1.0, 1.0)
-        return np.cos(np.outer(np.arccos(t), self.k)) @ self.cheb
+        theta = np.arccos(t)
+        B, J = self.coef.shape
+        baby = _powers(np.exp(1j * theta), B)
+        giant = _powers(np.exp(1j * B * theta), J)
+        # the complex B x J matrix as a real B x 2J one: real products
+        coef = self.coef.view(float)
+        lo_cos = (baby.real @ coef).view(complex)
+        lo_sin = (baby.imag @ coef).view(complex)
+        return (np.einsum("nj,nj->n", giant.real, lo_cos)
+                - np.einsum("nj,nj->n", giant.imag, lo_sin))
 
     def F(self, rho: np.ndarray, spec: BoundarySpec) -> np.ndarray:
         """rho^{d-1} I(rho) (rho - r)/(rho^{2m} - lam), with the removable
@@ -247,14 +299,22 @@ class _PairKey:
 def _memo_reduction(pair: _PairKey) -> _RadialReduction:
     red = _RadialReduction(*pair.fields)
     pair.fields = None      # the memo keeps no full-grid array
-    for a in (red.radii, red.weights, red.cheb, red.k):
+    for a in (red.radii, red.weights, red.coef):
         a.flags.writeable = False   # every caller shares these
     return red
 
 
-def _reduction(f: Field, g: Field) -> _RadialReduction:
-    """The radial reduction of (f, g), built once per distinct content."""
+def _reduction(f: Field, g: Field, spec: BoundarySpec) -> _RadialReduction:
+    """The radial reduction of (f, g), built once per distinct content;
+    refused, before any work, when the sphere of radius r = lambda^{1/(2m)}
+    does not lie inside the table's range."""
     _check_pair(f, g)
+    cutoff = radial_cutoff(f.grid)
+    if not spec.r < cutoff:
+        raise ValueError(
+            f"lambda = {spec.lam}: r = lambda^(1/(2m)) = {spec.r:.6g} is not "
+            f"below the grid's radial cutoff {cutoff:.6g}; use more points "
+            f"per axis or a smaller half-width")
     return _memo_reduction(_PairKey(f, g))
 
 
@@ -265,14 +325,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(lo, hi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on every panel [lo, hi], lo
+    and hi scalars or arrays of panel ends, all panels in one array."""
     x, w = _gauss_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    lo, hi = np.atleast_1d(lo)[:, None], np.atleast_1d(hi)[:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _geometric_edges(edge: float, far: float, scale: float) -> list[float]:
-    """Panel edges marching geometrically away from ``edge`` toward ``far``."""
+    """Panel edges marching geometrically away from ``edge`` toward ``far``,
+    the first step ``scale``."""
+    if not scale > 0:
+        raise ValueError(f"panel scale must be positive, got {scale}")
     out = [edge]
     step = scale
     pos = edge
@@ -286,24 +352,29 @@ def _geometric_edges(edge: float, far: float, scale: float) -> list[float]:
     return out
 
 
+def _panel_sum(terms: np.ndarray, n: int, total: complex = 0j) -> complex:
+    """total plus the sum of ``terms``, n per panel: pairwise within a panel,
+    then panel by panel in order, as a loop over the panels adds them."""
+    for part in terms.reshape(-1, n).sum(axis=1):
+        total += part
+    return complex(total)
+
+
 def _pv_radial(red: _RadialReduction, spec: BoundarySpec, Fr: complex,
                n_nodes: int) -> complex:
     """p.v. integral of F(rho)/(rho - r) over (0, rho_max), Fr = F(r)."""
     r = spec.r
     w = min(PV_WINDOW_FRAC * r, 0.45 * (red.rho_max - r), 0.45 * r)
-
-    # symmetric window: integrand (F - F(r))/(rho - r) is Hoelder
-    x, wx = _panel_nodes(r - w, r + w, 2 * n_nodes)
-    vals = (red.F(x, spec) - Fr) / (x - r)
-    total = np.sum(wx * vals)
-
-    # outer parts, geometric panels toward the window edges
-    for edge, far in ((r - w, 1e-12), (r + w, red.rho_max)):
-        edges = _geometric_edges(edge, far, w)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x, wx = _panel_nodes(min(lo, hi), max(lo, hi), n_nodes)
-            total += np.sum(wx * red.F(x, spec) / (x - r))
-    return complex(total)
+    # symmetric window: integrand (F - F(r))/(rho - r) is Hoelder; outside
+    # it, geometric panels away from the window's edges toward 0 and rho_max
+    xw, ww = _panel_nodes(r - w, r + w, 2 * n_nodes)
+    down = _geometric_edges(r - w, 1e-12, w)
+    up = _geometric_edges(r + w, red.rho_max, w)
+    x, wx = _panel_nodes(down[1:] + up[:-1], down[:-1] + up[1:], n_nodes)
+    # F once, on the nodes of every panel
+    F = red.F(np.concatenate([xw, x]), spec)
+    window = np.sum(ww * ((F[:xw.size] - Fr) / (xw - r)))
+    return _panel_sum(wx * F[xw.size:] / (x - r), n_nodes, window)
 
 
 def _refine(fn: Callable[[int], complex], start: int, rel_tol: float,
@@ -325,7 +396,7 @@ def _refine(fn: Callable[[int], complex], start: int, rel_tol: float,
 
 def boundary_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
     """< R_0^m(lambda + i 0 sign) f, g > via the surface + principal-value split."""
-    red = _reduction(f, g)
+    red = _reduction(f, g, spec)
     Fr = complex(red.F(np.array([spec.r]), spec)[0])
     pv, _, ok = _refine(lambda n: _pv_radial(red, spec, Fr, n), PAIR_START,
                         REL_TOL, PAIR_MAX_NODES)
@@ -341,15 +412,13 @@ def _eps_quadrature(red: _RadialReduction, spec: BoundarySpec, eps: float,
     drho = eps / (2.0 * m * r ** (2 * m - 1))
     z = lam + 1j * spec.sign * eps
     half = min(0.5 * drho, 0.1 * r)
-    # panels from 0 up to the resolved window [r - half, r + half] and on
+    # panels from 0 up to the resolved window [r - half, r + half] and on;
+    # I once, on the nodes of every panel
     edges = (_geometric_edges(r - half, 1e-12, half)[::-1]
              + _geometric_edges(r + half, red.rho_max, half))
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, wx = _panel_nodes(lo, hi, n_nodes)
-        total += np.sum(wx * x ** (red.d - 1) * red.angular(x)
-                        / (x ** (2 * m) - z))
-    return complex(total)
+    x, wx = _panel_nodes(edges[:-1], edges[1:], n_nodes)
+    return _panel_sum(wx * x ** (red.d - 1) * red.angular(x)
+                      / (x ** (2 * m) - z), n_nodes)
 
 
 def _eps_pairing(red: _RadialReduction, spec: BoundarySpec,
@@ -366,7 +435,7 @@ def _eps_pairing(red: _RadialReduction, spec: BoundarySpec,
 def epsilon_pairing(f: Field, g: Field, spec: BoundarySpec,
                     eps: float) -> complex:
     """< R_0^m(lambda + i sign eps) f, g > by resolved radial quadrature."""
-    return _eps_pairing(_reduction(f, g), spec, eps)
+    return _eps_pairing(_reduction(f, g, spec), spec, eps)
 
 
 def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
@@ -387,7 +456,7 @@ def richardson_limit(values: Sequence, ratio: float = 0.5) -> tuple:
 
 
 def epsilon_limit_pairing(f: Field, g: Field, spec: BoundarySpec) -> complex:
-    red = _reduction(f, g)
+    red = _reduction(f, g, spec)
     vals = [_eps_pairing(red, spec, e) for e in EPS_SEQUENCE]
     limit, diverged = richardson_limit(vals)
     if diverged:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import (BoundarySpec, boundary_pairing, decay_scan,
-                       epsilon_limit_pairing)
+                       epsilon_limit_pairing, radial_cutoff)
 from .family import FAMILY_VERSION, FamilySpec, standard_family
 from .lattice import DEFAULT_MAX_POINTS, Field, GridSpec, PHYSICAL
 from .perturb import (BISECTION_WIDTH, EigenvalueCounter, Potential,
@@ -276,9 +276,19 @@ def validate_config(cfg: dict) -> list:
     if not errors:
         # every other GridSpec bound is checked above: this is the budget
         try:
-            _grid(cfg)
+            grid = _grid(cfg)
         except ValueError as e:
             errors.append(f"grid.points_per_axis: {e}")
+            return errors
+        # the radial reduction tabulates I(rho) on [0, rho_max] only
+        cutoff, m = radial_cutoff(grid), int(cfg["m"])
+        for i, lam in enumerate(lambdas):
+            r = lam ** (1.0 / (2 * m))
+            if not r < cutoff:
+                errors.append(
+                    f"lambdas[{i}]: lambda^(1/(2m)) = {r:.6g} is not below "
+                    f"the grid's radial cutoff {cutoff:.6g}; raise "
+                    f"grid.points_per_axis or lower grid.half_width")
     return errors
 
 

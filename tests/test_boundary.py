@@ -23,10 +23,13 @@ from laplab.boundary import (
     epsilon_pairing,
     graph_and_weight,
     kernel_k_plus,
+    radial_cutoff,
     richardson_limit,
     sphere_restriction_norm,
     _debye_terms,
+    _geometric_edges,
     _memo_reduction,
+    _panel_nodes,
     _RadialReduction,
 )
 from laplab.lattice import (Field, GridSpec, PHYSICAL, SpectralInterpolator,
@@ -176,6 +179,38 @@ class TestPairing:
         with pytest.raises(ValueError, match="physical"):
             boundary_pairing(fh, fh, BoundarySpec(lam=1.0))
 
+    def test_sphere_beyond_table_rejected(self, monkeypatch):
+        # r = sqrt(2) lies past the radial cutoff 0.549 of this coarse wide
+        # grid; the pairings used to march panels away from rho_max forever
+        grid = GridSpec(2, 40.0, 16)
+        assert radial_cutoff(grid) < BoundarySpec(lam=2.0).r
+        f = gaussian_field(grid, 1.0)
+        # refused before the reduction is built or any quadrature runs
+        monkeypatch.setattr(boundary, "_memo_reduction", None)
+        spec = BoundarySpec(lam=2.0)
+        for fn in (boundary_pairing, epsilon_limit_pairing,
+                   functools.partial(epsilon_pairing, eps=0.1)):
+            with pytest.raises(ValueError, match="radial cutoff"):
+                fn(f, f, spec)
+
+    def test_geometric_edges_refuse_nonpositive_scale(self):
+        for scale in (0.0, -0.389):
+            with pytest.raises(ValueError, match="scale"):
+                _geometric_edges(1.0, 2.0, scale)
+        assert _geometric_edges(1.0, 4.0, 0.5) == [1.0, 1.5, 2.5, 4.0]
+        assert _geometric_edges(1.0, 0.0, 0.5) == [1.0, 0.5, 0.0]
+
+    def test_panel_nodes_of_many_panels(self):
+        # 4 nodes per panel integrate a degree-7 polynomial exactly on each
+        edges = np.array([0.0, 0.1, 0.3, 0.7, 1.5])
+        x, w = _panel_nodes(edges[:-1], edges[1:], 4)
+        assert x.shape == w.shape == (16,)
+        assert np.all(np.diff(x) > 0)
+        assert np.sum(w * x**7) == pytest.approx(1.5**8 / 8, rel=1e-14)
+        # a single panel from scalar ends
+        x1, w1 = _panel_nodes(0.3, 0.7, 4)
+        assert np.array_equal(x1, x[8:12]) and np.array_equal(w1, w[8:12])
+
 
 def sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -209,6 +244,16 @@ def offset_and_modulated(grid):
     d = grid.dimension
     return (gaussian_field(grid, 0.7, center=(1.0,) + (0.0,) * (d - 1)),
             gaussian_field(grid, 1.0, wavevector=(1.0,) + (0.0,) * (d - 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def offset_reduction(d):
+    """The reduction of the offset and modulated Gaussians on the d=2 or d=3
+    test grid, and the largest |I| on [0, rho_max]."""
+    grid = GridSpec(d, 6.8, {2: 128, 3: 32}[d])
+    red = _RadialReduction(*offset_and_modulated(grid))
+    scale = np.max(np.abs(red.debye_sum(np.linspace(0.0, red.rho_max, 400))))
+    return red, scale
 
 
 class TestRadialReduction:
@@ -265,6 +310,45 @@ class TestRadialReduction:
         rho = np.random.default_rng(5).uniform(0.0, red.rho_max, 200)
         err = np.max(np.abs(red.angular(rho) - red.debye_sum(rho)))
         assert err < 1e-12 * scale
+
+    @PROPERTY
+    @given(d=st.sampled_from([2, 3]),
+           frac=st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_evaluator_matches_debye_sum(self, d, frac):
+        # the baby-step / giant-step table against the direct Debye sum, at
+        # random radii and both ends of [0, rho_max]
+        red, scale = offset_reduction(d)
+        rho = red.rho_max * np.concatenate([[0.0, 1.0], frac])
+        err = np.max(np.abs(red.angular(rho) - red.debye_sum(rho)))
+        assert err < 1e-12 * scale
+
+    def test_evaluator_shapes(self):
+        red, _ = offset_reduction(2)
+        for rho in (0.5, np.float64(0.5), [0.5]):
+            value = red.angular(rho)
+            assert value.shape == (1,) and value.dtype == complex
+            assert red.F(rho, BoundarySpec(lam=1.0)).shape == (1,)
+        # the matrix products may round a batch differently from one node
+        assert red.angular(0.5)[0] == pytest.approx(
+            red.angular(np.array([0.5, 1.0]))[0], rel=1e-14)
+        assert red.angular(np.array([])).shape == (0,)
+        assert red.F(np.array([]), BoundarySpec(lam=1.0)).shape == (0,)
+
+    def test_one_table_evaluation_per_quadrature(self, monkeypatch):
+        # every panel's nodes go through I(rho) in one call per quadrature
+        red, _ = offset_reduction(2)
+        sizes = []
+        angular = _RadialReduction.angular
+
+        def counted(self, rho):
+            sizes.append(np.size(rho))
+            return angular(self, rho)
+
+        monkeypatch.setattr(_RadialReduction, "angular", counted)
+        spec = BoundarySpec(lam=1.0)
+        boundary._eps_quadrature(red, spec, 0.05, 32)
+        boundary._pv_radial(red, spec, 0.0, 32)
+        assert len(sizes) == 2 and min(sizes) > 32
 
     def test_d4_gaussian_pairing(self, g4):
         f = gaussian_field(g4, 1.0)

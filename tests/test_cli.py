@@ -99,6 +99,17 @@ class TestConfig:
                                            "grid.points_per_axis=127"])
         assert any(e.startswith("lambdas[1]:") for e in validate_config(cfg))
 
+    def test_radial_cutoff_validation(self):
+        # the cutoff of this grid, 1.373, lies between sqrt(0.5) and sqrt(2);
+        # at m = 2 both fourth roots lie below it
+        cfg = load_config(None, overrides=["grid.points_per_axis=16",
+                                           "grid.half_width=16",
+                                           "lambdas=[0.5,2.0]"])
+        errors = validate_config(cfg)
+        assert len(errors) == 1 and errors[0].startswith("lambdas[1]: ")
+        cfg["m"] = 2
+        assert validate_config(cfg) == []
+
 
 class TestExitCodes:
     def test_validation_failure_is_exit_2(self, tmp_path, capsys):
@@ -453,6 +464,21 @@ class TestResolventCommand:
         assert len(rows) == 1
         assert read_summary(out / "resolvent.json")["checked"] == 1
 
+    @pytest.mark.parametrize("command", ["resolvent", "sweep"])
+    def test_sphere_beyond_table_is_exit_2(self, tmp_path, capsys, command):
+        # r = sqrt(2) is past this grid's radial cutoff 0.549; the resolvent
+        # quadratures used to march panels away from rho_max without end.
+        # One rule for every command: the sweep refuses the same lambda.
+        code, _ = run([command, "--set", "grid.points_per_axis=16",
+                       "--set", "grid.half_width=40",
+                       "--set", "lambdas=[2.0]",
+                       "--set", "family.count=1"], tmp_path, "cutoff")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("config error: ") == 1
+        assert "config error: lambdas[0]: " in err
+        assert "grid.points_per_axis" in err and "grid.half_width" in err
+
     def test_failed_pairing_is_a_hole(self, tmp_path, monkeypatch, capsys):
         real = cli.epsilon_limit_pairing
 
@@ -535,7 +561,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.12.0", "family/1"]
+                                   "laplab/0.13.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0
