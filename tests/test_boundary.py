@@ -10,7 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from laplab import boundary
 from laplab.boundary import (
@@ -26,9 +28,12 @@ from laplab.boundary import (
     radial_cutoff,
     richardson_limit,
     sphere_restriction_norm,
+    _debye_sum,
     _debye_terms,
+    _gauss_legendre,
     _geometric_edges,
     _memo_reduction,
+    _PairKey,
     _panel_nodes,
     _RadialReduction,
 )
@@ -212,6 +217,39 @@ class TestPairing:
         assert np.array_equal(x1, x[8:12]) and np.array_equal(w1, w[8:12])
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 47, 48, 127, 128,
+                                   255, 256, 257, 383, 384, 406, 511, 512])
+    def test_matches_independent_rules(self, n):
+        x, w = _gauss_legendre(n)
+        x0, w0 = leggauss(n)
+        assert np.max(np.abs(x - x0)) <= 4e-16
+        # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix and
+        # the weights 2 v_0^2, v_0 the first component of each eigenvector
+        k = np.arange(1, n)
+        _, v = eigh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+        assert np.max(np.abs(w - 2.0 * v[0] ** 2)) <= 1e-14
+        # leggauss takes its weights at the eigenvalue nodes before its Newton
+        # step; its end weights are off by up to 3.0e-14 for n <= 512
+        assert np.max(np.abs(w - w0)) <= 4e-14
+
+    @pytest.mark.parametrize("n", [546, 1537, 6000, 6001])
+    def test_large_rules(self, n):
+        x, w = _gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        # exact for degree 2n - 1: the even moments 2/(2j + 1), Sum w = 2
+        j = np.arange(64)
+        moments = (x[:, None] ** (2 * j) * w[:, None]).sum(axis=0)
+        assert np.max(np.abs(moments - 2.0 / (2 * j + 1))) <= 1e-13
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(boundary, "NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="unconverged"):
+            _gauss_legendre.__wrapped__(48)
+
+
 def sphere_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
@@ -311,6 +349,15 @@ class TestRadialReduction:
         err = np.max(np.abs(red.angular(rho) - red.debye_sum(rho)))
         assert err < 1e-12 * scale
 
+    def test_debye_sum_is_the_complex_product(self, g2):
+        # the real product against the complex one, over several blocks
+        f, g = offset_and_modulated(g2)
+        radii, weights = _debye_terms(f, g)
+        rho = np.linspace(0.0, radial_cutoff(g2), 400)
+        plain = boundary._sphere_ft(2, np.outer(rho, radii)) @ weights
+        err = np.max(np.abs(_debye_sum(2, rho, radii, weights) - plain))
+        assert err <= 1e-14 * np.max(np.abs(plain))
+
     @PROPERTY
     @given(d=st.sampled_from([2, 3]),
            frac=st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -390,6 +437,17 @@ class TestRadialReduction:
             _memo_reduction.cache_clear()
             assert fn(f, f, spec) == value
 
+    def test_pair_key_digests_a_self_pair_once(self, g2, monkeypatch):
+        f = gaussian_field(g2, 1.0)
+        copy = Field(g2, f.values.copy(), PHYSICAL)
+        calls = []
+        blake2b = boundary.hashlib.blake2b
+        monkeypatch.setattr(boundary.hashlib, "blake2b",
+                            lambda *a, **k: calls.append(1) or blake2b(*a, **k))
+        same = _PairKey(f, f)
+        assert len(calls) == 1
+        assert _PairKey(f, copy) == same and len(calls) == 3
+
     def test_memo_sees_writes_to_caller_array(self, g2):
         # Field keeps a view of the caller's array, so the memo must key on
         # the content, not on the object
@@ -426,7 +484,11 @@ class TestRadialReduction:
     def test_unconverged_quadrature_raises(self, g2, monkeypatch):
         f = gaussian_field(g2, 1.0)
         spec = BoundarySpec(lam=1.0)
-        monkeypatch.setattr(boundary, "REL_TOL", 1e-30)
+        # each quadrature plus its node count: no two doublings agree
+        for name in ("_pv_radial", "_eps_quadrature"):
+            quadrature = getattr(boundary, name)
+            monkeypatch.setattr(boundary, name, lambda *args, q=quadrature:
+                                q(*args) + args[-1])
         with pytest.raises(ArithmeticError, match="unconverged"):
             boundary_pairing(f, f, spec)
         with pytest.raises(ArithmeticError, match="unconverged"):
@@ -632,10 +694,14 @@ class TestKernel:
         b = kernel_k_plus(1.0, 1, np.append(rot @ xp, height), tol=1e-12)
         assert abs(b.value - a.value) <= 1e-10 * abs(a.value)
 
-    def test_budget_exhausted_is_flagged(self):
-        # no two doublings agree to 1e-30, so refinement runs past the node
-        # budget and hands back its last value, flagged
-        s = kernel_k_plus(1.0, 1, [3.0, 2.0], tol=1e-30)
+    def test_budget_exhausted_is_flagged(self, monkeypatch):
+        # the quadrature plus its node count: no two doublings agree, so
+        # refinement runs past the node budget and hands back its last value,
+        # flagged
+        quadrature = boundary._kernel_quad
+        monkeypatch.setattr(boundary, "_kernel_quad",
+                            lambda *args: quadrature(*args) + args[-1])
+        s = kernel_k_plus(1.0, 1, [3.0, 2.0], tol=1e-8)
         assert s.flagged
         assert np.isfinite(s.value) and s.error_estimate > 0
 

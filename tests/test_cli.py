@@ -561,7 +561,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.13.0", "family/1"]
+                                   "laplab/0.14.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0
