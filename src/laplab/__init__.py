@@ -14,7 +14,7 @@ from .perturb import (EigenvalueCounter, Potential, bs_solve, direct_eigs,
                       eigen_scan, example_potential, lap_perturbed_sweep)
 from .family import FAMILY_VERSION, FamilySpec, shell_stress_family, standard_family
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "Field", "GridSpec", "forward_transform", "inverse_transform",

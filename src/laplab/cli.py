@@ -549,7 +549,10 @@ def cmd_sweep(cfg) -> Report:
                    "weyl_shift": counter.weyl_shift}
         for i, lam in enumerate(lambdas):
             lo, hi = lam - margin, lam + margin
-            xi_lo, xi_hi = counter.xi(lo), counter.xi(hi)
+            try:    # xi refuses a window edge at a lattice value of P_m
+                xi_lo, xi_hi = counter.xi(lo), counter.xi(hi)
+            except ValueError as e:
+                raise ValueError(f"lambdas[{i}]: {e}") from e
             if xi_lo != xi_hi:
                 raise ValueError(
                     f"lambdas[{i}]: V moves an eigenvalue across [{lo:.4g}, "
@@ -584,7 +587,10 @@ def cmd_spectrum(cfg) -> Report:
     V = _potential(cfg, grid)
     interval = (float(sc["interval"][0]), float(sc["interval"][1]))
     gate = float(sc["oracle_rel"])
-    res = eigen_scan(V, m, interval)
+    try:    # a count at a lattice value of P_m is refused
+        res = eigen_scan(V, m, interval)
+    except ValueError as e:
+        raise ValueError(f"spectrum.interval: {e}") from e
     # the widest bracket the scan can leave around a candidate
     grid_step = BISECTION_WIDTH * max(1.0, abs(interval[0]), abs(interval[1]))
     oracle, converged, residual, matvecs, solves = [], None, None, 0, 0

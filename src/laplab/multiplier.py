@@ -7,8 +7,8 @@ frequency first, as ``GridSpec.freq_grids``); the ones that are reused are
 cached and read-only.  A field's spectrum is ``to_spectrum``'s inverse FFT of
 its values, in the same order, and ``to_field`` maps a spectrum back;
 ``apply_values`` is the one multiply of a field, their composition around
-the product.  ``support_resolvent`` applies the free resolvent among a set
-of lattice nodes alone, as a convolution on their bounding box.
+the product.  ``support_resolvent`` applies the free resolvent among lattice
+nodes alone, as a convolution of ``_fold``'s Green's function on their box.
 """
 
 from __future__ import annotations
@@ -223,21 +223,31 @@ def support_box(grid: GridSpec,
         tuple(c - lo for c, lo in zip(coords, low)), box)
 
 
+def _fold(green: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """A lattice Green's function, even along each axis, folded onto a
+    ``support_box`` box: along an axis of N entries, offsets o <= N // 2
+    read it at o and the others at o - N, that is o - N + n."""
+    n = green.shape[0]
+    return green[np.ix_(*(np.where(o <= N // 2, o, o - N + n)
+                          for N, o in zip(box, map(np.arange, box))))]
+
+
+def _box_offsets(box: tuple[int, ...], flat: np.ndarray) -> np.ndarray:
+    """The entry of ``_fold``'s box at the offset x_j - x_k, at [j, k], for
+    the nodes at ``support_box``'s flat indices ``flat``."""
+    coords = np.unravel_index(flat, box)
+    return np.ravel_multi_index(tuple(
+        (x[:, None] - x[None, :]) % N for x, N in zip(coords, box)), box)
+
+
 @functools.lru_cache(maxsize=1)  # every solve of one sweep cell shares it
 def _box_resolvent_values(grid: GridSpec, m: int, z: complex,
                           box: tuple[int, ...]) -> np.ndarray:
-    """fftn of the Green's function g_z = R_0(z) delta_0 folded onto
-    ``box``.  The resolvent symbol r is even on the lattice, the Nyquist
-    planes included, so R_0 y = fftn(r ifftn(y)) is y convolved with
-    g_z = ifftn(r).  Along an axis of N box entries, offsets o <= N // 2
-    read g_z at o and the others at o - N, that is o - N + n."""
-    n = grid.points_per_axis
+    """fftn of g_z = R_0(z) delta_0 = ifftn(r) folded onto ``box``: the
+    resolvent symbol r is even on the lattice, the Nyquist planes included,
+    so R_0 y = fftn(r ifftn(y)) is y convolved with g_z."""
     green = np.fft.ifftn(resolvent_values(grid, m, z))
-    folds = []
-    for N in box:
-        o = np.arange(N)
-        folds.append(np.where(o <= N // 2, o, o - N + n))
-    return _cached(np.fft.fftn(green[np.ix_(*folds)]))
+    return _cached(np.fft.fftn(_fold(green, box)))
 
 
 def support_resolvent(z: complex, m: int, grid: GridSpec,

@@ -16,9 +16,10 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  lgmres)
 
 from .lattice import Field, GridSpec, PHYSICAL
-from .multiplier import (free_resolvent_norm, pm_values, resolvent_values,
-                         spectrum_norm, support_box, support_resolvent,
-                         to_field, to_spectrum)
+from .multiplier import (_box_offsets, _fold, free_resolvent_norm,
+                         pm_values, resolvent_values, spectrum_norm,
+                         support_box, support_resolvent, to_field,
+                         to_spectrum)
 from .spaces import x_norm_upper, xstar_norm_from_spectrum
 
 __all__ = [
@@ -232,13 +233,17 @@ def _half_multiply(half: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spec)    # n is even: the default length is n
 
 
+def _half_symbol(grid: GridSpec, m: int) -> np.ndarray:
+    """P_m on rfftn's half spectrum: its first n//2 + 1 columns."""
+    return pm_values(grid, m)[..., :grid.points_per_axis // 2 + 1]
+
+
 def _real_hamiltonian(m: int, V: Potential):
     """H = P_m(D) + V on raveled real fields.  |xi|^{2m} is real and even on
     the lattice, the Nyquist planes included, so P_m(D) maps real fields to
-    real fields; on the half spectrum it is the cached symbol, which is in
-    FFT order, cut to its first n//2 + 1 columns."""
+    real fields, by its half symbol."""
     shape = V.grid.shape
-    half = pm_values(V.grid, m)[..., :shape[-1] // 2 + 1]
+    half = _half_symbol(V.grid, m)
     v = np.ascontiguousarray(V.real_values())
 
     def matvec(w: np.ndarray) -> np.ndarray:
@@ -248,69 +253,6 @@ def _real_hamiltonian(m: int, V: Potential):
         return out.ravel()
 
     return matvec
-
-
-#: support nodes the Birman-Schwinger model keeps, the strongest ones; the
-#: count and the oracle's preconditioner factor a dense matrix of this order
-MAX_SUPPORT_NODES = 1500
-
-
-def _strongest_nodes(vals: np.ndarray) -> np.ndarray:
-    """Ascending flat indices of the support of ``vals``, cut to its
-    ``MAX_SUPPORT_NODES`` strongest nodes; ties are broken by index."""
-    idx = np.flatnonzero(vals)
-    if len(idx) > MAX_SUPPORT_NODES:
-        order = np.lexsort((idx, -np.abs(vals[idx])))
-        idx = np.sort(idx[order[:MAX_SUPPORT_NODES]])
-    return idx
-
-
-class _BirmanSchwinger:
-    """The Birman-Schwinger operator of V on S, its support cut to the
-    strongest nodes: C(s) = D^{-1} + E^T (P_m - s)^{-1} E, with D = diag(V)
-    on S and E the injection of S into the lattice.  ``weyl_shift`` is the
-    largest |V| the cut drops (0.0 when nothing is cut)."""
-
-    def __init__(self, V: Potential, m: int):
-        shape = V.grid.shape
-        vals = V.real_values().ravel()
-        self.support = _strongest_nodes(vals)
-        self.weyl_shift = float(np.max(np.abs(np.delete(vals, self.support)),
-                                       initial=0.0))
-        self.inv_v = 1.0 / vals[self.support]
-        self.half = pm_values(V.grid, m)[..., :shape[-1] // 2 + 1]
-        coords = np.unravel_index(self.support, shape)
-        # flat index of the offset x_j - x_k at [j + 1, k + 1], in FFT order;
-        # the border reads the two values appended to the Green's function
-        size = len(self.support) + 1
-        self.gather = np.full((size, size), vals.size)
-        self.gather[0, 0] = vals.size + 1
-        self.gather[1:, 1:] = np.ravel_multi_index(tuple(
-            (x[:, None] - x[None, :]) % shape[0] for x in coords), shape)
-        # the optimal workspace: dsytrf's default one is unblocked and slow
-        self.lwork = int(dsytrf_lwork(size, lower=1)[0])
-
-    def factor(self, s: float):
-        """The lower dsytrf factors (ldu, ipiv) of C(s) bordered by the
-        constant mode, K(s) = [[N s, 1^T], [1, C(s) + 1 1^T / (N s)]] for N
-        lattice nodes: the Schur complement of N s is C(s), and C's
-        zero-frequency term, which grows like 1/s, does not swamp the rest in
-        rounding as s nears 0.  Raises ValueError at a lattice value of P_m,
-        where C(s) does not exist."""
-        gap = self.half - s
-        if not np.all(gap):
-            raise ValueError(f"lambda = {s} is a lattice value of P_m")
-        # the Green's function (P_m - s)^{-1} delta_0 without its zero
-        # frequency: delta_0 transforms to 1
-        inv = 1.0 / gap
-        inv.flat[0] = 0.0
-        green = np.fft.irfftn(inv).ravel()
-        k = np.take(np.r_[green, 1.0, green.size * s], self.gather)
-        k[1:, 1:][np.diag_indices(len(self.support))] += self.inv_v
-        # k is symmetric: its transpose is the Fortran-ordered copy dsytrf
-        # factors in place
-        ldu, ipiv, _ = dsytrf(k.T, lower=1, lwork=self.lwork, overwrite_a=1)
-        return ldu, ipiv
 
 
 #: relative residual ||b - (H - sigma) x|| / ||b|| that ends a shift-invert
@@ -326,21 +268,21 @@ class _SolveFailed(Exception):
 
 def _woodbury_inverse(m: int, V: Potential, sigma: float):
     """(P_m + V_S - sigma)^{-1} on raveled real fields, V_S being V on the
-    Birman-Schwinger model's S, by the Woodbury identity
+    count's S (``EigenvalueCounter``), by the Woodbury identity
 
         (P_m + E D E^T - sigma)^{-1} = R - R E C(sigma)^{-1} E^T R,
         R = (P_m - sigma)^{-1},
 
     R one rfftn/irfftn pair and C(sigma) factored once."""
     shape = V.grid.shape
-    bs = _BirmanSchwinger(V, m)
-    inv_half = 1.0 / (bs.half - sigma)
+    counter = EigenvalueCounter(V, m)
+    inv_half = 1.0 / (counter.half - sigma)
 
     def resolvent(w: np.ndarray) -> np.ndarray:
         return _half_multiply(inv_half, w.reshape(shape)).ravel()
 
-    nodes = bs.support
-    ldu, ipiv = bs.factor(sigma)
+    nodes = counter.support
+    ldu, ipiv = counter.factor(sigma)
 
     def inverse(b: np.ndarray) -> np.ndarray:
         rb = resolvent(b)
@@ -443,38 +385,79 @@ def direct_eigs(m: int, V: Potential, k: int = 4) -> LanczosEigs:
 BISECTION_WIDTH = 1e-12
 
 
+#: support nodes ``EigenvalueCounter`` keeps, the strongest ones; the count
+#: and the oracle's preconditioner factor a dense matrix of this order
+MAX_SUPPORT_NODES = 1500
+
+
 class EigenvalueCounter:
     """Exact counts #{eig H < lambda} of the lattice H = P_m(D) + V, and the
-    discrete spectral shift xi(lambda) = #{eig H < lambda} - #{P_m < lambda}.
-
-    The bordered matrix [[P_m - lambda, E], [E^T, -D^{-1}]] has the Schur
-    complements H - lambda and -C(lambda) of the Birman-Schwinger model, so
-    inertia additivity (Haynsworth) gives
+    discrete spectral shift xi(lambda) = #{eig H < lambda} - #{P_m < lambda},
+    from the Birman-Schwinger operator C(s) = D^{-1} + E^T (P_m - s)^{-1} E
+    of V on S, its support cut to the strongest nodes, with D = diag(V) on S
+    and E the injection of S into the lattice.  The bordered matrix
+    [[P_m - lambda, E], [E^T, -D^{-1}]] has the Schur complements H - lambda
+    and -C(lambda), so inertia additivity (Haynsworth) gives
 
         #{eig H < lambda} = #{P_m < lambda} + xi(lambda),
         xi(lambda) = #{V < 0 on S} - n_-(C(lambda))
                    = #{V < 0 on S} + [lambda < 0] - n_-(K(lambda)),
 
-    the last since K(lambda) is C(lambda) bordered by N lambda; n_- is read
-    off the pivots of the model's LDL^T factors (Sylvester's law of
-    inertia).  The counts are those of V on S; with w = ``weyl_shift``,
-    Weyl's inequality brackets those of the full V:
-    N_S(lambda - w) <= N_H(lambda) <= N_S(lambda + w).
-    """
+    K(lambda) being C(lambda) bordered by N lambda (``factor``), whose LDL^T
+    pivots give n_- (Sylvester).  The counts are those of V on S; with
+    w = ``weyl_shift``, the largest |V| the cut drops, Weyl's inequality
+    gives N_S(lambda - w) <= N_H(lambda) <= N_S(lambda + w)."""
 
     def __init__(self, V: Potential, m: int):
-        self.model = _BirmanSchwinger(V, m)
-        self.pm = pm_values(V.grid, m)
-        self.nodes = len(self.model.support)
-        self.weyl_shift = self.model.weyl_shift
-        self.negative = int(np.count_nonzero(self.model.inv_v < 0))
+        grid = V.grid
+        vals = V.real_values().ravel()
+        idx = np.flatnonzero(vals)
+        order = np.lexsort((idx, -np.abs(vals[idx])))    # ties by index
+        self.support = np.sort(idx[order[:MAX_SUPPORT_NODES]])
+        self.nodes = len(self.support)
+        self.weyl_shift = float(np.max(np.abs(np.delete(vals, self.support)),
+                                       initial=0.0))
+        self.inv_v = 1.0 / vals[self.support]
+        self.negative = int(np.count_nonzero(self.inv_v < 0))
+        self.pm = pm_values(grid, m)
+        self.half = _half_symbol(grid, m)
+        # the Green's function folded onto S's own box, read at x_j - x_k
+        # at [j + 1, k + 1]; the border reads the two values appended to it
+        self.box, flat = (support_box(grid, self.support) if self.nodes
+                          else ((1,) * grid.dimension, self.support))
+        size = self.nodes + 1
+        self.gather = np.full((size, size), math.prod(self.box))
+        self.gather[0, 0] += 1
+        self.gather[1:, 1:] = _box_offsets(self.box, flat)
+        # the optimal workspace: dsytrf's default one is unblocked and slow
+        self.lwork = int(dsytrf_lwork(size, lower=1)[0])
+
+    def factor(self, s: float):
+        """The lower dsytrf factors (ldu, ipiv) of C(s) bordered by the
+        constant mode, K(s) = [[N s, 1^T], [1, C(s) + 1 1^T / (N s)]] for N
+        lattice nodes: the Schur complement of N s is C(s), and C's
+        zero-frequency term, which grows like 1/s, does not swamp the rest in
+        rounding near s = 0.  Raises ValueError at a lattice value of P_m."""
+        gap = self.half - s
+        if not np.all(gap):
+            raise ValueError(f"lambda = {s} is a lattice value of P_m")
+        # the Green's function (P_m - s)^{-1} delta_0 without its zero
+        # frequency: delta_0 transforms to 1
+        inv = 1.0 / gap
+        inv.flat[0] = 0.0
+        green = _fold(np.fft.irfftn(inv), self.box).ravel()
+        k = np.take(np.r_[green, 1.0, self.pm.size * s], self.gather)
+        k[1:, 1:][np.diag_indices(self.nodes)] += self.inv_v
+        # k is symmetric: its transpose is the Fortran-ordered copy dsytrf
+        # factors in place
+        return dsytrf(k.T, lower=1, lwork=self.lwork, overwrite_a=1)[:2]
 
     def xi(self, lam: float) -> int:
         """Raises ValueError at a lattice value of P_m (C does not exist)."""
         if self.nodes == 0:
             return 0
         return (self.negative + int(lam < 0)
-                - _negative_inertia(*self.model.factor(lam)))
+                - _negative_inertia(*self.factor(lam)))
 
     def count(self, lam: float) -> int:
         return int(np.count_nonzero(self.pm < lam)) + self.xi(lam)

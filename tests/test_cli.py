@@ -26,6 +26,7 @@ from laplab.cli import (
 )
 from laplab import cli, perturb
 from laplab.lattice import GridSpec
+from laplab.multiplier import pm_values
 
 
 def read_table(path):
@@ -222,6 +223,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: lambdas[0]:" in err
         assert "lambda=0.6" in err and "eigenvalue" in err
+
+    @pytest.mark.parametrize("command,settings,field", [
+        # [P_m at [0, 1], 1]
+        ("spectrum", ["spectrum.interval=[{0!r},1.0]"], "spectrum.interval"),
+        # a window of width 0 at P_m at [0, 2], after one that is not
+        ("sweep", ["eigen_margin=0", "lambdas=[1.0,{1!r}]"], "lambdas[1]"),
+    ], ids=["spectrum", "sweep"])
+    def test_lattice_value_names_its_field(self, tmp_path, capsys, command,
+                                           settings, field):
+        # the count does not exist at a lattice value of P_m
+        pm = pm_values(cli._grid(load_config(None)), 1)
+        lams = float(pm[0, 1]), float(pm[0, 2])
+        overrides = ["potential.kind=\"well\"", "potential.depth=-8"]
+        overrides += [s.format(*lams) for s in settings]
+        code, _ = run([command] + [a for s in overrides for a in ("--set", s)],
+                      tmp_path, "latticevalue")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"config error: {field}: lambda = " in err
+        assert "is a lattice value of P_m" in err
 
     def test_sweep_between_shifted_box_modes_runs(self, tmp_path, capsys):
         # [0.4, 0.6] holds 12 eigenvalues of H and 12 of P_m (the 12-fold box
@@ -561,7 +582,7 @@ class TestTableFormat:
                     [[1.0 / 3.0, "x"], [2.0, "y"]])
         comment, header, rows = read_table(path)
         assert comment.split() == ["#", "laplab-table-v1", "demo",
-                                   "laplab/0.14.0", "family/1"]
+                                   "laplab/0.15.0", "family/1"]
         assert header == ["a", "b"]
         # 17 significant digits: floats survive the round trip exactly
         assert float(rows[0][0]) == 1.0 / 3.0

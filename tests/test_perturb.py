@@ -518,6 +518,31 @@ class TestHamiltonian:
         assert inner > 10.0 * outer
 
 
+def gathered_green(V, m, lam, monkeypatch):
+    """The counter's Green's function on S x S at lam, the Schur complement
+    of the corner of its bordered matrix, against the full complex transform
+    (2L)^{-d} h^d fftn(1/(P_m - lambda)) read at the offsets x_j - x_k by an
+    index of its own: their largest difference relative to the largest
+    entry, and the counter."""
+    counter = EigenvalueCounter(V, m)
+    counter.inv_v = np.zeros_like(counter.inv_v)    # C(lambda) is G alone
+    seen = []
+    monkeypatch.setattr(perturb, "dsytrf",
+                        lambda a, **kw: seen.append(a.copy()) or
+                        dsytrf(a, **kw))
+    counter.factor(lam)
+    k = seen[0]
+    got = k[1:, 1:] - np.outer(k[1:, 0], k[0, 1:]) / k[0, 0]
+    grid = V.grid
+    kernel = np.fft.fftn(1.0 / (pm_values(grid, m) - lam)).real
+    kernel *= grid.cell_volume / (2.0 * grid.half_width) ** grid.dimension
+    n = grid.points_per_axis
+    x = np.array(np.unravel_index(counter.support, grid.shape)).T
+    offsets = (x[:, None, :] - x[None, :, :]) % n
+    ref = kernel[tuple(np.moveaxis(offsets, -1, 0))]
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref)), counter
+
+
 class TestGreenFunction:
     @pytest.mark.parametrize("lam", [-0.7, 0.45])
     @pytest.mark.parametrize("m", [1, 2])
@@ -525,40 +550,48 @@ class TestGreenFunction:
                                       GridSpec(3, 6.0, 16)],
                              ids=["d2", "d3"])
     def test_gather_matches_full_fft(self, grid, m, lam, monkeypatch):
-        # the model's irfftn Green's function on S x S, the Schur complement
-        # of the corner of its bordered matrix, against the full complex
-        # transform (2L)^{-d} h^d fftn(1/(P_m - lambda)), read at the offsets
-        # x_j - x_k by an index of its own
-        bs = perturb._BirmanSchwinger(core_shell_potential(grid), m)
-        bs.inv_v = np.zeros_like(bs.inv_v)    # C(lambda) is then G alone
-        seen = []
-        monkeypatch.setattr(perturb, "dsytrf",
-                            lambda a, **kw: seen.append(a.copy()) or
-                            dsytrf(a, **kw))
-        bs.factor(lam)
-        k = seen[0]
-        got = k[1:, 1:] - np.outer(k[1:, 0], k[0, 1:]) / k[0, 0]
-        kernel = np.fft.fftn(1.0 / (pm_values(grid, m) - lam)).real
-        kernel *= (grid.cell_volume
-                   / (2.0 * grid.half_width) ** grid.dimension)
-        n = grid.points_per_axis
-        x = np.array(np.unravel_index(bs.support, grid.shape)).T
-        offsets = (x[:, None, :] - x[None, :, :]) % n
-        ref = kernel[tuple(np.moveaxis(offsets, -1, 0))]
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        err, _ = gathered_green(core_shell_potential(grid), m, lam,
+                                monkeypatch)
+        assert err <= 1e-15
+
+    @pytest.mark.parametrize("lam", [-0.7, 0.45])
+    @pytest.mark.parametrize("V,cap,box", [
+        # 40 nodes kept: the count's box is smaller than the matvec's,
+        # (20, 20), which holds the whole support
+        (core_shell_potential(GridSpec(2, 6.0, 32)), 40, (15, 20)),
+        # the support touches both edges of every axis: the box is the
+        # lattice
+        (corner_well(G2_SMALL), perturb.MAX_SUPPORT_NODES, (32, 32)),
+        # 9 nodes across: N = 2 * 9 - 2 = 16 exactly, so the offsets +-8
+        # share one box entry
+        (well_potential(G2_SMALL, -1.0, 1.0), perturb.MAX_SUPPORT_NODES,
+         (16, 16)),
+    ], ids=["cut-support", "corner-well", "n-is-2b-2"])
+    def test_gather_on_the_count_box(self, V, cap, box, lam, monkeypatch):
+        monkeypatch.setattr(perturb, "MAX_SUPPORT_NODES", cap)
+        err, counter = gathered_green(V, 1, lam, monkeypatch)
+        assert err <= 1e-15
+        assert counter.nodes == min(cap, len(V.support))
+        assert counter.box == box
+        assert math.prod(box) <= math.prod(V.box[0])
 
 
 class TestInertiaCount:
     LAMBDAS = np.linspace(-7.0, 3.3, 12)
 
-    @pytest.mark.parametrize("grid", [GridSpec(2, 6.0, 32),
-                                      GridSpec(3, 6.0, 16)],
-                             ids=["d2-n32", "d3-n16"])
-    def test_counts_match_dense_eigvalsh(self, grid):
-        V = core_shell_potential(grid)
-        counter = EigenvalueCounter(V, 1)
+    @pytest.mark.parametrize("V,box,negative,nodes", [
         # V has both signs on the kept nodes
-        assert 0 < counter.negative < counter.nodes
+        (core_shell_potential(GridSpec(2, 6.0, 32)), (20, 20), 21, 61),
+        (core_shell_potential(GridSpec(3, 6.0, 16)), (8, 8, 8), 7, 55),
+        # even about the corner node: the support wraps the lattice edge,
+        # so the box is the lattice
+        (corner_well(G2_SMALL), (32, 32), 49, 49),
+    ], ids=["d2-n32", "d3-n16", "d2-corner-well"])
+    def test_counts_match_dense_eigvalsh(self, V, box, negative, nodes):
+        grid = V.grid
+        counter = EigenvalueCounter(V, 1)
+        assert (counter.box, counter.negative, counter.nodes) == \
+            (box, negative, nodes)
         eigs = dense_spectrum(V)
         assert len(eigs) == grid.points_per_axis**grid.dimension
         for lam in self.LAMBDAS:
