@@ -29,7 +29,9 @@ node, and the rest is two small matrix products against the coefficients laid
 out as a B x J matrix.  Each pairing quadrature evaluates I once, on the
 nodes of all its panels.  The table depends only on the grid, f and g,
 so the pairings take it from a memo keyed on the content of both fields and
-share it across lambda, sign, m and the two pairing backends.  A pairing
+share it across lambda, sign, m and the two pairing backends.  The
+sigmahat values depend only on the grid, so ``radial_reductions`` builds the
+tables of several pairs, a family's, in one pass over them.  A pairing
 needs the sphere |xi| = r inside the table's range [0, rho_max], rho_max
 ``radial_cutoff`` of the grid, and refuses any other lambda.
 
@@ -62,6 +64,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -78,6 +82,7 @@ __all__ = [
     "DecayScan",
     "boundary_pairing",
     "epsilon_pairing",
+    "radial_reductions",
     "radial_cutoff",
     "richardson_limit",
     "boundary_apply",
@@ -99,6 +104,8 @@ PAIR_START, PAIR_MAX_NODES = 16, 128
 S0, S1 = 0.5, 0.8
 #: node count past which kernel refinement stops and flags the sample
 NODE_BUDGET = 6000
+#: the number of field pairs whose radial reductions the memo keeps
+MEMO_SIZE = 16
 #: Newton steps on P_n from the asymptotic guesses; the last must move no
 #: node by more than NEWTON_ULPS units of 1
 NEWTON_STEPS, NEWTON_ULPS = 4, 4
@@ -142,34 +149,52 @@ def _padded_fft(values: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _debye_terms(f: Field, g: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Radii |y| of the lattice shells |y/h|^2 = j and the Debye weights, h^{2d}
-    times the shell sums of C = f (star) conj g (one zero-padded FFT)."""
-    d, n, h = f.grid.dimension, f.grid.points_per_axis, f.grid.spacing
-    spec = _padded_fft(f.values)
-    for a, b in zip(spec, spec if g is f else _padded_fft(g.values)):
-        a *= np.conj(b)         # slab by slab: no full-size temporary
-    corr = np.fft.ifftn(spec, out=spec).ravel()
+def _debye_terms(pairs: Sequence[tuple[Field, Field]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Radii |y| of the lattice shells |y/h|^2 = j, and the S x P Debye
+    weights of the P field pairs on one grid: column p is h^{2d} times the
+    shell sums of C = f (star) conj g of pair p (one zero-padded FFT per
+    field)."""
+    grid = pairs[0][0].grid
+    d, n, h = grid.dimension, grid.points_per_axis, grid.spacing
     k2 = _sum_sq(_offsets(n), d).ravel()
-    re, im = np.zeros((2, d * n * n + 1))
-    # in index order, in chunks: the additions of one bincount, without its
-    # full-size copies of the index and the weights
-    for lo in range(0, k2.size, 2**18):
-        np.add.at(re, k2[lo:lo + 2**18], corr.real[lo:lo + 2**18])
-        np.add.at(im, k2[lo:lo + 2**18], corr.imag[lo:lo + 2**18])
     shells = np.flatnonzero(np.bincount(_sum_sq(np.arange(n + 1), d).ravel()))
-    return h * np.sqrt(shells), h ** (2 * d) * (re + 1j * im)[shells]
+    weights = np.empty((shells.size, len(pairs)), dtype=complex)
+    for p, (f, g) in enumerate(pairs):
+        spec = _padded_fft(f.values)
+        for a, b in zip(spec, spec if g is f else _padded_fft(g.values)):
+            a *= np.conj(b)     # slab by slab: no full-size temporary
+        corr = np.fft.ifftn(spec, out=spec).ravel()
+        re, im = np.zeros((2, d * n * n + 1))
+        # in index order, in chunks: the additions of one bincount, without
+        # its full-size copies of the index and the weights
+        for lo in range(0, k2.size, 2**18):
+            np.add.at(re, k2[lo:lo + 2**18], corr.real[lo:lo + 2**18])
+            np.add.at(im, k2[lo:lo + 2**18], corr.imag[lo:lo + 2**18])
+        weights[:, p] = h ** (2 * d) * (re + 1j * im)[shells]
+    return h * np.sqrt(shells), weights
 
 
 def _debye_sum(d: int, rho: np.ndarray, radii: np.ndarray,
                weights: np.ndarray) -> np.ndarray:
-    """I(rho) = sum_y weights sigmahat(rho |y|) over the shells, in blocks of
-    about 2^20 terms: each real block times the complex weights viewed as a
-    real S x 2 array, one real product without a complex copy of the block."""
-    w = weights.view(float).reshape(-1, 2)
-    blocks = np.array_split(rho, 1 + len(rho) * len(radii) // 2**20)
-    return np.concatenate([(_sphere_ft(d, np.outer(b, radii)) @ w)
-                           .view(complex)[:, 0] for b in blocks])
+    """I(rho) = sum_y weights sigmahat(rho |y|) over the shells, of the S
+    weights of one pair or of each column of an S x P matrix, in blocks of
+    about 2^20 sigmahat values, each evaluated once for all P pairs.  Each
+    pair's product is one real product of the block with its complex weights
+    viewed as a real S x 2 array.  One product with all 2P columns would
+    round a column differently with P, and a reduction must not depend on
+    the batch that built it."""
+    cols = [np.ascontiguousarray(w).view(float).reshape(-1, 2)
+            for w in weights.reshape(len(radii), -1).T]
+    out = np.empty((len(rho), len(cols)), dtype=complex)
+    lo = 0
+    for b in np.array_split(rho, 1 + len(rho) * len(radii) // 2**20):
+        block = _sphere_ft(d, np.outer(b, radii))
+        for p, w in enumerate(cols):
+            out[lo:lo + len(b), p] = (block @ w).view(complex)[:, 0]
+        lo += len(b)
+        del block   # freed before the next block is evaluated
+    return out.reshape(len(rho), *weights.shape[1:])
 
 
 def sphere_restriction_norm(f: Field, r: float) -> float:
@@ -178,7 +203,8 @@ def sphere_restriction_norm(f: Field, r: float) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
     d = f.grid.dimension
-    I = _debye_sum(d, np.array([r]), *_debye_terms(f, f))[0].real
+    radii, weights = _debye_terms([(f, f)])
+    I = _debye_sum(d, np.array([r]), radii, weights)[0, 0].real
     return float(np.sqrt(r ** (d - 1) * max(I, 0.0)))
 
 
@@ -222,32 +248,18 @@ def radial_cutoff(grid) -> float:
     return 0.999 * grid.max_inscribed_freq
 
 
+@dataclass(frozen=True, eq=False)
 class _RadialReduction:
-    """I(rho) as a Chebyshev series on [0, rho_max]; I has exponential type
-    max|y|, so degree 1.25 omega + 32, omega = rho_max max|y| / 2, is exact.
-    ``coef`` holds the K = degree + 1 coefficients zero-padded to B J and laid
-    out as a B x J matrix, coef[i, j] = c_{j B + i}, B = ceil(sqrt(K))."""
+    """I(rho) of one field pair as a Chebyshev series on [0, rho_max], built
+    by ``_build_reductions``: the shell radii and Debye weights of the pair,
+    and ``coef``, the K series coefficients zero-padded to B J and laid out as
+    a B x J matrix, coef[i, j] = c_{j B + i}, B = ceil(sqrt(K))."""
 
-    def __init__(self, f: Field, g: Field):
-        self.d = f.grid.dimension
-        self.rho_max = radial_cutoff(f.grid)
-        self.radii, self.weights = _debye_terms(f, g)
-        K = math.ceil(0.625 * self.rho_max * self.radii[-1]) + 33
-        # the DCT-II of I at the K Chebyshev points cos(theta_j) of the first
-        # kind, by the FFT of the values mirrored to length 2K; numpy's
-        # chebinterpolate builds its basis by the three-term recurrence, whose
-        # O(k^2) error growth costs about 1e-12 of max|I| at t = -1
-        theta = np.pi * (np.arange(K) + 0.5) / K
-        y = self.debye_sum(0.5 * self.rho_max * (1.0 + np.cos(theta)))
-        k = np.arange(K)
-        cheb = (np.exp(-0.5j * np.pi * k / K)
-                * np.fft.fft(np.concatenate([y, y[::-1]]))[:K]) / K
-        cheb[0] /= 2.0
-        B = math.isqrt(K - 1) + 1
-        J = -(-K // B)
-        coef = np.zeros(B * J, dtype=complex)
-        coef[:K] = cheb
-        self.coef = coef.reshape(J, B).T.copy()
+    d: int
+    rho_max: float
+    radii: np.ndarray
+    weights: np.ndarray
+    coef: np.ndarray
 
     def debye_sum(self, rho: np.ndarray) -> np.ndarray:
         """I(rho) by the direct Debye sum."""
@@ -284,6 +296,42 @@ class _RadialReduction:
         return out
 
 
+def _build_reductions(pairs: Sequence[tuple[Field, Field]]
+                      ) -> list[_RadialReduction]:
+    """The radial reductions of field pairs on one grid, in one pass over
+    sigmahat.  The shells, the degree and the Chebyshev points depend only on
+    the grid; each pair's coefficients are the DCT of its own column of I.
+    I has exponential type max|y|, so degree 1.25 omega + 32, omega =
+    rho_max max|y| / 2, is exact.  Every array is read-only: the memo's
+    callers share them."""
+    grid = pairs[0][0].grid
+    d, rho_max = grid.dimension, radial_cutoff(grid)
+    radii, weights = _debye_terms(pairs)
+    K = math.ceil(0.625 * rho_max * radii[-1]) + 33
+    # the DCT-II of I at the K Chebyshev points cos(theta_j) of the first
+    # kind, by the FFT of the values mirrored to length 2K; numpy's
+    # chebinterpolate builds its basis by the three-term recurrence, whose
+    # O(k^2) error growth costs about 1e-12 of max|I| at t = -1
+    theta = np.pi * (np.arange(K) + 0.5) / K
+    values = _debye_sum(d, 0.5 * rho_max * (1.0 + np.cos(theta)), radii,
+                        weights)
+    shift = np.exp(-0.5j * np.pi * np.arange(K) / K)
+    B = math.isqrt(K - 1) + 1
+    J = -(-K // B)
+    radii.flags.writeable = False
+    out = []
+    for w, y in zip(weights.T, values.T):
+        cheb = (shift * np.fft.fft(np.concatenate([y, y[::-1]]))[:K]) / K
+        cheb[0] /= 2.0
+        coef = np.zeros(B * J, dtype=complex)
+        coef[:K] = cheb
+        red = _RadialReduction(d, rho_max, radii, w.copy(),
+                               coef.reshape(J, B).T.copy())
+        red.weights.flags.writeable = red.coef.flags.writeable = False
+        out.append(red)
+    return out
+
+
 class _PairKey:
     """Memo key of a field pair: the grid and digests of both value arrays,
     never the objects, whose arrays the caller may still write to.  It carries
@@ -306,13 +354,44 @@ class _PairKey:
         return self.key == other.key
 
 
-@functools.lru_cache(maxsize=16)
-def _memo_reduction(pair: _PairKey) -> _RadialReduction:
-    red = _RadialReduction(*pair.fields)
-    pair.fields = None      # the memo keeps no full-grid array
-    for a in (red.radii, red.weights, red.coef):
-        a.flags.writeable = False   # every caller shares these
-    return red
+class _Memo:
+    """The reductions of the ``size`` field pairs used last, by ``_PairKey``.
+    The lock guards the table, not the builds: threads racing on one pair
+    may each build it, to the same bits, and the first one stored is kept.
+    ``builds`` counts the reductions built since the last ``clear``."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.builds = 0
+        self._table: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, keys: Sequence[_PairKey]) -> list[_RadialReduction]:
+        """The reductions of pairs on one grid; the ones missing are built
+        in one batch."""
+        with self._lock:
+            found = {k: self._table[k] for k in keys if k in self._table}
+        missing = [k for k in dict.fromkeys(keys) if k not in found]
+        built = missing and _build_reductions([k.fields for k in missing])
+        with self._lock:
+            self.builds += len(built)
+            for k, red in zip(missing, built):
+                found[k] = self._table.setdefault(k, red)
+            for k in keys:
+                k.fields = None     # the memo keeps no full-grid array
+                self._table[k] = found[k]
+                self._table.move_to_end(k)
+            while len(self._table) > self.size:
+                self._table.popitem(last=False)
+        return [found[k] for k in keys]
+
+    def clear(self):
+        with self._lock:
+            self._table.clear()
+            self.builds = 0
+
+
+_MEMO = _Memo(MEMO_SIZE)
 
 
 def _reduction(f: Field, g: Field, spec: BoundarySpec) -> _RadialReduction:
@@ -326,7 +405,22 @@ def _reduction(f: Field, g: Field, spec: BoundarySpec) -> _RadialReduction:
             f"lambda = {spec.lam}: r = lambda^(1/(2m)) = {spec.r:.6g} is not "
             f"below the grid's radial cutoff {cutoff:.6g}; use more points "
             f"per axis or a smaller half-width")
-    return _memo_reduction(_PairKey(f, g))
+    return _MEMO.get([_PairKey(f, g)])[0]
+
+
+def radial_reductions(pairs: Sequence[tuple[Field, Field]]) -> list:
+    """The radial reductions of at most MEMO_SIZE field pairs on one grid,
+    from the memo; the ones it lacks are built together, in one pass over
+    sigmahat.  A pairing of these fields then finds its reduction in the
+    memo, until MEMO_SIZE other pairs have been used."""
+    if len(pairs) > MEMO_SIZE:
+        raise ValueError(f"{len(pairs)} field pairs: the memo holds at most "
+                         f"{MEMO_SIZE}")
+    for f, g in pairs:
+        _check_pair(f, g)
+        if f.grid != pairs[0][0].grid:
+            raise ValueError("the field pairs must share a grid")
+    return _MEMO.get([_PairKey(f, g) for f, g in pairs])
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .boundary import (BoundarySpec, boundary_pairing, decay_scan,
-                       epsilon_limit_pairing, radial_cutoff)
+from .boundary import (MEMO_SIZE, BoundarySpec, boundary_pairing,
+                       decay_scan, epsilon_limit_pairing, radial_cutoff,
+                       radial_reductions)
 from .family import FAMILY_VERSION, FamilySpec, standard_family
 from .lattice import DEFAULT_MAX_POINTS, Field, GridSpec, PHYSICAL
 from .perturb import (BISECTION_WIDTH, EigenvalueCounter, Potential,
@@ -452,7 +453,7 @@ def cmd_resolvent(cfg) -> Report:
     delta = float(cfg["delta"])
     tol = float(cfg["tolerances"]["backend_rel"])
     fam = _family(cfg, grid)
-    cells = [(lam, label, f) for lam in cfg["lambdas"] for label, f in fam]
+    lambdas = cfg["lambdas"]
 
     def pairing(fn, f, spec, label):
         # an unconverged quadrature or extrapolation leaves a nan hole
@@ -463,8 +464,7 @@ def cmd_resolvent(cfg) -> Report:
                   f"{exc}", file=sys.stderr)
             return np.nan
 
-    def one(cell):
-        lam, label, f = cell
+    def one(lam, label, f):
         spec = BoundarySpec(lam=float(lam), sign=sign, m=m, delta=delta)
         val = pairing(boundary_pairing, f, spec, label)
         ref = pairing(epsilon_limit_pairing, f, spec, label)
@@ -472,7 +472,15 @@ def cmd_resolvent(cfg) -> Report:
         return [lam, label, val, ref, rel,
                 np.nan if np.isnan(val) else val.imag]
 
-    rows = [one(cell) for cell in cells]
+    # rows lambda by lambda, the family in chunks that the reduction memo
+    # holds: each chunk's reductions are built in one pass, then paired
+    rows = [None] * (len(lambdas) * len(fam))
+    for lo in range(0, len(fam), MEMO_SIZE):
+        part = fam[lo:lo + MEMO_SIZE]
+        radial_reductions([(f, f) for _, f in part])
+        for i, lam in enumerate(lambdas):
+            for j, (label, f) in enumerate(part, lo):
+                rows[i * len(fam) + j] = one(lam, label, f)
     header = ["lambda", "label", "plemelj", "epsilon_limit", "rel_diff",
               "im_part"]
     done = [r for r in rows if not np.isnan(r[4])]

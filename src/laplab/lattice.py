@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "GridSpec",
@@ -227,11 +226,14 @@ class SpectralInterpolator:
     Zero-pads the field into a ``pad_factor`` times larger box (legal because
     test fields decay), transforms, and spline-interpolates the refined
     spectral lattice; accuracy is set by the refined spacing and the order.
+    ``scipy.ndimage`` is imported by the methods, so that importing the
+    package does not pay for it.
     """
 
     def __init__(self, f: Field, pad_factor: int = 4, order: int = 5):
         if f.domain_tag != PHYSICAL:
             raise ValueError("SpectralInterpolator expects a physical field")
+        from scipy import ndimage
         g = f.grid
         n, d = g.points_per_axis, g.dimension
         N = pad_factor * n
@@ -248,6 +250,7 @@ class SpectralInterpolator:
         self._im = ndimage.spline_filter(spec.imag, order=order, mode="constant")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        from scipy import ndimage
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = (pts - self._freq0) / self._dxi
         re = ndimage.map_coordinates(self._re, idx.T, order=self.order,

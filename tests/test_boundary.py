@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 from laplab import boundary
 from laplab.boundary import (
     EPS_SEQUENCE,
+    MEMO_SIZE,
     BoundarySpec,
     boundary_apply,
     boundary_pairing,
@@ -26,13 +27,15 @@ from laplab.boundary import (
     graph_and_weight,
     kernel_k_plus,
     radial_cutoff,
+    radial_reductions,
     richardson_limit,
     sphere_restriction_norm,
+    _build_reductions,
     _debye_sum,
     _debye_terms,
     _gauss_legendre,
     _geometric_edges,
-    _memo_reduction,
+    _MEMO,
     _PairKey,
     _panel_nodes,
     _RadialReduction,
@@ -191,7 +194,7 @@ class TestPairing:
         assert radial_cutoff(grid) < BoundarySpec(lam=2.0).r
         f = gaussian_field(grid, 1.0)
         # refused before the reduction is built or any quadrature runs
-        monkeypatch.setattr(boundary, "_memo_reduction", None)
+        monkeypatch.setattr(boundary, "_MEMO", None)
         spec = BoundarySpec(lam=2.0)
         for fn in (boundary_pairing, epsilon_limit_pairing,
                    functools.partial(epsilon_pairing, eps=0.1)):
@@ -289,7 +292,7 @@ def offset_reduction(d):
     """The reduction of the offset and modulated Gaussians on the d=2 or d=3
     test grid, and the largest |I| on [0, rho_max]."""
     grid = GridSpec(d, 6.8, {2: 128, 3: 32}[d])
-    red = _RadialReduction(*offset_and_modulated(grid))
+    red = _build_reductions([offset_and_modulated(grid)])[0]
     scale = np.max(np.abs(red.debye_sum(np.linspace(0.0, red.rho_max, 400))))
     return red, scale
 
@@ -300,7 +303,7 @@ class TestRadialReduction:
     def test_gaussian_closed_form(self, request, grid, tol):
         grid = request.getfixturevalue(grid)
         f = gaussian_field(grid, 1.0)
-        red = _RadialReduction(f, f)
+        red = _build_reductions([(f, f)])[0]
         rho = np.linspace(0.0, 3.0, 31)
         exact = gaussian_angular(grid.dimension, rho)
         assert np.max(np.abs(red.angular(rho) - exact) / exact) < tol
@@ -310,7 +313,7 @@ class TestRadialReduction:
         # the padded spline on a sphere rule is an independent path to I(rho)
         grid = request.getfixturevalue(grid)
         f, g = offset_and_modulated(grid)
-        red = _RadialReduction(f, g)
+        red = _build_reductions([(f, g)])[0]
         dirs, wts = unit_sphere_rule(grid.dimension, 48)
         sf, sg = SpectralInterpolator(f), SpectralInterpolator(g)
         rho = np.array([0.3, 0.7, 1.0, 1.6, 2.4])
@@ -336,13 +339,13 @@ class TestRadialReduction:
         sums = (np.bincount(k2, weights=corr.real)
                 + 1j * np.bincount(k2, weights=corr.imag))
         shells = np.flatnonzero(np.bincount(k2))
-        radii, weights = _debye_terms(f, g)
+        radii, weights = _debye_terms([(f, g)])
         assert np.array_equal(radii, grid.spacing * np.sqrt(shells))
-        assert np.array_equal(weights, grid.spacing**6 * sums[shells])
+        assert np.array_equal(weights[:, 0], grid.spacing**6 * sums[shells])
 
     def test_table_matches_debye_sum(self, g2):
         f, g = offset_and_modulated(g2)
-        red = _RadialReduction(f, g)
+        red = _build_reductions([(f, g)])[0]
         scale = np.max(np.abs(red.debye_sum(
             np.linspace(0.0, red.rho_max, 400))))
         rho = np.random.default_rng(5).uniform(0.0, red.rho_max, 200)
@@ -350,13 +353,25 @@ class TestRadialReduction:
         assert err < 1e-12 * scale
 
     def test_debye_sum_is_the_complex_product(self, g2):
-        # the real product against the complex one, over several blocks
+        # the real products against the complex one, over several blocks,
+        # for each column of a weight matrix; the complex pair's column has
+        # weights with nonzero imaginary parts
         f, g = offset_and_modulated(g2)
-        radii, weights = _debye_terms(f, g)
+        radii, weights = _debye_terms([(f, g), (f, f), (g, g)])
+        assert np.max(np.abs(weights[:, 0].imag)) > 0
         rho = np.linspace(0.0, radial_cutoff(g2), 400)
-        plain = boundary._sphere_ft(2, np.outer(rho, radii)) @ weights
-        err = np.max(np.abs(_debye_sum(2, rho, radii, weights) - plain))
-        assert err <= 1e-14 * np.max(np.abs(plain))
+        sums = _debye_sum(2, rho, radii, weights)
+        assert sums.shape == (400, 3)
+        sigma = boundary._sphere_ft(2, np.outer(rho, radii))
+        for w, column in zip(weights.T, sums.T):
+            plain = sigma @ w
+            err = np.max(np.abs(column - plain))
+            assert err <= 1e-14 * np.max(np.abs(plain))
+        # a matrix of one column is the 1-D weights, to the bit
+        one = _debye_sum(2, rho, radii, weights[:, :1])
+        assert one.shape == (400, 1)
+        assert np.array_equal(one[:, 0], _debye_sum(2, rho, radii,
+                                                    weights[:, 0].copy()))
 
     @PROPERTY
     @given(d=st.sampled_from([2, 3]),
@@ -430,11 +445,11 @@ class TestRadialReduction:
         calls = [(fn, BoundarySpec(lam=lam))
                  for lam in (0.5, 1.0, 2.0)
                  for fn in (boundary_pairing, epsilon_limit_pairing)]
-        _memo_reduction.cache_clear()
+        _MEMO.clear()
         shared = [fn(f, f, spec) for fn, spec in calls]
-        assert _memo_reduction.cache_info().misses == 1
+        assert _MEMO.builds == 1
         for (fn, spec), value in zip(calls, shared):
-            _memo_reduction.cache_clear()
+            _MEMO.clear()
             assert fn(f, f, spec) == value
 
     def test_pair_key_digests_a_self_pair_once(self, g2, monkeypatch):
@@ -457,7 +472,7 @@ class TestRadialReduction:
         before = boundary_pairing(f, f, spec)
         arr[...] = gaussian_field(g2, 0.7).values
         after = boundary_pairing(f, f, spec)
-        _memo_reduction.cache_clear()
+        _MEMO.clear()
         fresh = Field(g2, arr.copy(), PHYSICAL)
         assert after == boundary_pairing(fresh, fresh, spec)
         assert after != before
@@ -473,13 +488,81 @@ class TestRadialReduction:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _memo_reduction.cache_clear()
+            _MEMO.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(fn, f, f, spec) for fn, spec in calls]
                 threaded = [fut.result(timeout=120) for fut in futures]
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    @pytest.mark.parametrize("grid", ["g2", "g3"])
+    def test_batch_is_the_bits_of_single_builds(self, request, grid,
+                                                monkeypatch):
+        # a batch samples sigmahat as often as one pair does, and each of
+        # its reductions carries the bits of the pair's own cold build
+        grid = request.getfixturevalue(grid)
+        fields = offset_and_modulated(grid) + (gaussian_field(grid, 1.0),)
+        pairs = [(f, f) for f in fields]
+        calls = []
+        sphere_ft = boundary._sphere_ft
+        monkeypatch.setattr(boundary, "_sphere_ft",
+                            lambda *a: calls.append(1) or sphere_ft(*a))
+        batch = _build_reductions(pairs)
+        batch_calls = len(calls)
+        for pair, red in zip(pairs, batch):
+            calls.clear()
+            single, = _build_reductions([pair])
+            assert len(calls) == batch_calls
+            assert (red.d, red.rho_max) == (single.d, single.rho_max)
+            for name in ("radii", "weights", "coef"):
+                a, b = getattr(red, name), getattr(single, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_batch_fills_what_the_memo_lacks(self):
+        grid = GridSpec(2, 6.8, 32)
+        fields = offset_and_modulated(grid) + (gaussian_field(grid, 1.0),)
+        spec = BoundarySpec(lam=1.0)
+        _MEMO.clear()
+        boundary_pairing(fields[0], fields[0], spec)
+        reds = radial_reductions([(f, f) for f in fields])
+        assert _MEMO.builds == 3
+        for f, red in zip(fields, reds):
+            assert boundary._reduction(f, f, spec) is red
+        assert _MEMO.builds == 3
+        with pytest.raises(ValueError, match="memo holds at most"):
+            radial_reductions([(fields[0], fields[0])] * (MEMO_SIZE + 1))
+        other = gaussian_field(GridSpec(2, 6.8, 16), 1.0)
+        with pytest.raises(ValueError, match="share a grid"):
+            radial_reductions([(fields[0], fields[0]), (other, other)])
+
+    def test_batches_under_thread_contention(self, monkeypatch):
+        # batches of one to three pairs race on a memo that holds three of
+        # the five pairs, so entries are evicted and rebuilt while other
+        # threads read them; every reduction must carry the serial bits
+        grid = GridSpec(2, 6.8, 32)
+        fields = [gaussian_field(grid, w) for w in (0.6, 0.8, 1.0, 1.2, 1.4)]
+        serial = [red.coef.tobytes()
+                  for red in _build_reductions([(f, f) for f in fields])]
+        memo = boundary._Memo(3)
+        monkeypatch.setattr(boundary, "_MEMO", memo)
+
+        def batch(i):
+            idx = [(i + k) % 5 for k in range(1 + i % 3)]
+            reds = radial_reductions([(fields[j], fields[j]) for j in idx])
+            return [red.coef.tobytes() == serial[j]
+                    for j, red in zip(idx, reds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(batch, i) for i in range(48)]
+                results = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(r) for r in results) and len(results) == 48
+        assert len(memo._table) <= 3 and memo.builds >= 5
 
     def test_unconverged_quadrature_raises(self, g2, monkeypatch):
         f = gaussian_field(g2, 1.0)

@@ -24,7 +24,9 @@ from laplab.cli import (
     validate_config,
     write_table,
 )
-from laplab import cli, perturb
+from laplab import boundary, cli, perturb
+from laplab.boundary import (BoundarySpec, boundary_pairing,
+                             epsilon_limit_pairing)
 from laplab.lattice import GridSpec
 from laplab.multiplier import pm_values
 
@@ -39,6 +41,10 @@ def read_table(path):
 def read_summary(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _set_args(sets):
+    return [a for s in sets for a in ("--set", s)]
 
 
 def run(args, tmp_path, name):
@@ -499,6 +505,54 @@ class TestResolventCommand:
         assert err.count("config error: ") == 1
         assert "config error: lambdas[0]: " in err
         assert "grid.points_per_axis" in err and "grid.half_width" in err
+
+    def test_family_shares_one_pass(self, tmp_path, monkeypatch):
+        # three fields sample sigmahat as often as one, and every row holds
+        # the bits of its pairings computed pair by pair from a cold memo
+        sets = ["grid.points_per_axis=32", "lambdas=[0.5,1.0]"]
+        calls = []
+        sphere_ft = boundary._sphere_ft
+        monkeypatch.setattr(boundary, "_sphere_ft",
+                            lambda *a: calls.append(1) or sphere_ft(*a))
+        counts = []
+        for count in (1, 3):
+            boundary._MEMO.clear()
+            calls.clear()
+            code, out = run(["resolvent"] + _set_args(
+                sets + [f"family.count={count}"]), tmp_path, f"n{count}")
+            assert code == EXIT_OK
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        cfg = load_config(None, sets + ["family.count=3"])
+        fields = dict(cli._family(cfg, cli._grid(cfg)))
+        _, _, rows = read_table(out / "resolvent.csv")
+        assert len(rows) == 6 and len(fields) == 3
+        for lam, label, plemelj, limit, *_ in rows:
+            spec = BoundarySpec(lam=float(lam), sign=cfg["sign"], m=cfg["m"],
+                                delta=cfg["delta"])
+            f = fields[label]
+            for fn, value in ((boundary_pairing, plemelj),
+                              (epsilon_limit_pairing, limit)):
+                boundary._MEMO.clear()
+                assert fn(f, f, spec) == complex(value)
+
+    def test_family_beyond_the_memo(self, tmp_path, monkeypatch):
+        # a family of one field more than the memo holds goes through in two
+        # chunks, each one pass over sigmahat, and no reduction is rebuilt
+        calls = []
+        sphere_ft = boundary._sphere_ft
+        monkeypatch.setattr(boundary, "_sphere_ft",
+                            lambda *a: calls.append(1) or sphere_ft(*a))
+        boundary._MEMO.clear()
+        code, out = run(["resolvent"] + _set_args(
+            ["grid.points_per_axis=16", "lambdas=[1.0]",
+             'family.kinds=["gaussian","modulated"]',
+             f"family.count={boundary.MEMO_SIZE + 1}"]), tmp_path, "big")
+        assert code == EXIT_OK
+        assert boundary._MEMO.builds == boundary.MEMO_SIZE + 1
+        assert len(calls) == 2
+        _, _, rows = read_table(out / "resolvent.csv")
+        assert len({row[1] for row in rows}) == boundary.MEMO_SIZE + 1
 
     def test_failed_pairing_is_a_hole(self, tmp_path, monkeypatch, capsys):
         real = cli.epsilon_limit_pairing

@@ -1,13 +1,17 @@
 """Every module-level import in the package is used (no linter is installed,
 so this walks the syntax trees), every function, class and method of the
-package is used somewhere, every name in a module's ``__all__`` exists, and
-every name the benchmark's tracer wraps exists."""
+package is used somewhere, every name in a module's ``__all__`` and every
+name the benchmark's tracer wraps exists, and importing the CLI leaves out
+scipy.ndimage."""
 
 import ast
 import functools
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -130,6 +134,18 @@ def test_tracer_targets_resolve():
         owner = importlib.import_module(f"laplab.{module}")
         target = functools.reduce(getattr, attr.split("."), owner)
         assert callable(target), f"laplab.{module}.{attr}"
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    # only the test oracle SpectralInterpolator needs scipy.ndimage, and it
+    # imports it itself: every lapcli start would otherwise pay for it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = "import sys, laplab.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_detector_flags_an_unused_import():
